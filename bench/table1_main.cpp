@@ -63,10 +63,10 @@ void run_deployment(const nn::Graph& g, const core::QuantMcuPlan& plan,
   // One weight conversion feeds both executors (and any sweep variants).
   const auto params = nn::QuantizedParameters::build_shared(g, deploy_cfg);
   const patch::PatchQuantExecutor uniform(g, plan.patch_plan, deploy_cfg,
-                                          nn::ops::KernelTier::Fast, params);
+                                          nn::ops::KernelTier::Simd, params);
   const patch::PatchQuantExecutor mixed(g, plan.patch_plan, deploy_cfg,
                                         branch_cfgs,
-                                        nn::ops::KernelTier::Fast, params);
+                                        nn::ops::KernelTier::Simd, params);
 
   // Best of several warm runs: a single wall-clock sample on a shared
   // runner is too jittery for a trajectory artifact.

@@ -7,7 +7,7 @@
 // HAQ, perturbation sensitivity for HAWQ-V3, memory-driven cascades for
 // Rusci et al., clip learning for PACT) on this codebase's calibration
 // data, so the relative search costs in the Time column are intrinsic, not
-// staged. See DESIGN.md §2.
+// staged. See README.md, Architecture notes, "Substitutions".
 #pragma once
 
 #include <cstdint>

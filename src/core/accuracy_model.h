@@ -1,8 +1,8 @@
 // accuracy_model.h — proxy accuracy for quantized deployments.
 //
-// SUBSTITUTION (DESIGN.md §2): the paper reports Top-1 / Top-5 / mAP of
-// *trained* networks on ImageNet / Pascal VOC. Without trained weights or
-// the datasets, this reproduction models accuracy as
+// SUBSTITUTION (README.md, "Substitutions"): the paper reports Top-1 / Top-5 /
+// mAP of *trained* networks on ImageNet / Pascal VOC. Without trained weights
+// or the datasets, this reproduction models accuracy as
 //
 //     accuracy = published FP32 baseline − penalty(measured noise)
 //

@@ -14,7 +14,8 @@
 //     "objects"; outliers concentrate inside object boxes, mimicking the
 //     detection workload where salient regions dominate.
 //
-// See DESIGN.md §2 for the substitution argument.
+// See README.md, Architecture notes, "Substitutions" for the substitution
+// argument.
 #pragma once
 
 #include <cstdint>

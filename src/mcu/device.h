@@ -8,8 +8,8 @@
 // Throughput constants are *calibrated*, not first-principles: the int8
 // cycles/MAC figure is fit to the layer-based rows of the paper's Table I
 // (total cycles = latency × clock over the model's MACs), and the sub-byte
-// speedups to CMix-NN's reported relative kernel throughput. See DESIGN.md
-// §2 for the substitution rationale.
+// speedups to CMix-NN's reported relative kernel throughput. See README.md,
+// Architecture notes, "Substitutions" for the substitution rationale.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // build regenerates bit-identical models. What VDPC/VDQS actually consume —
 // bell-shaped activation statistics with occasional outliers — is produced
 // by these weights together with the data/synthetic.h input generators; see
-// DESIGN.md §2.
+// README.md, Architecture notes, "Substitutions".
 #pragma once
 
 #include <cstdint>

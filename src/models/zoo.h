@@ -5,13 +5,13 @@
 // VGG16. "The width multiplier and resolution of the model are adjusted to
 // fit MCU memory" (Table I caption) — ModelConfig carries both knobs.
 //
-// Documented topology simplifications (see DESIGN.md §2): squeeze-and-
-// excitation blocks are omitted from MnasNet (no broadcast-multiply op in
-// the IR) and InceptionV3 is built from classic four-branch square-kernel
-// inception modules rather than the factorised 7x1/1x7 variant. Both keep
-// the property the paper exercises — deep branched topologies with a
-// characteristic activation distribution — while staying inside the
-// operator set MCU deployments actually use.
+// Documented topology simplifications (see README.md, "Substitutions"):
+// squeeze-and-excitation blocks are omitted from MnasNet (no broadcast-multiply
+// op in the IR) and InceptionV3 is built from classic four-branch square-kernel
+// inception modules rather than the factorised 7x1/1x7 variant. Both keep the
+// property the paper exercises — deep branched topologies with a characteristic
+// activation distribution — while staying inside the operator set MCU
+// deployments actually use.
 #pragma once
 
 #include <string>

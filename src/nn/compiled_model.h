@@ -117,6 +117,9 @@ struct PrecompiledBundle {
     const std::int8_t* key = nullptr;
     std::int32_t a_zp = 0;  // activation zero point the row was baked for
     std::span<const std::int32_t> offset;
+    // The bias the row was baked from: the loaded QuantizedParameters::bias
+    // entry's data(), or null for a layer without bias.
+    const std::int32_t* bias = nullptr;
   };
   std::vector<PanelEntry> panels;
   std::vector<LutEntry> luts;

@@ -400,18 +400,21 @@ void KernelBackend::adopt_lut_panel(const std::int8_t* key, int bits,
 
 void KernelBackend::register_offset_row(const std::int8_t* key,
                                         std::int32_t a_zp,
-                                        std::span<const std::int32_t> offset) {
+                                        std::span<const std::int32_t> offset,
+                                        const std::int32_t* bias) {
   QMCU_REQUIRE(key != nullptr && !offset.empty(),
                "register_offset_row: empty row");
-  offset_rows_[key] = OffsetRow{a_zp, offset};
+  offset_rows_[key] = OffsetRow{a_zp, offset, bias};
 }
 
 std::span<const std::int32_t> KernelBackend::offset_row(
-    const std::int8_t* key, std::int32_t a_zp, int n) const {
+    const std::int8_t* key, std::int32_t a_zp, int n,
+    std::span<const std::int32_t> qbias) const {
   if (offset_rows_.empty()) return {};
   const auto it = offset_rows_.find(key);
   if (it == offset_rows_.end() || it->second.a_zp != a_zp ||
-      static_cast<int>(it->second.offset.size()) != n) {
+      static_cast<int>(it->second.offset.size()) != n ||
+      it->second.bias != (qbias.empty() ? nullptr : qbias.data())) {
     return {};
   }
   return it->second.offset;
@@ -446,7 +449,7 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), ip.bits);
     lut_conv2d_impl(arena_, is, ip, l, t.tables, t.wsum, wparams, qbias,
                     pack_row, out, simd_,
-                    offset_row(qweights.data(), ip.zero_point, n));
+                    offset_row(qweights.data(), ip.zero_point, n, qbias));
     return;
   }
   arena_.reset();
@@ -454,7 +457,7 @@ void KernelBackend::conv2d_into(const QTensor& in, const Layer& l,
   fast_conv2d_impl(
       arena_, is, ip, l, w.bt, w.wsum, wparams, qbias, pack_row, out, simd_,
       offset_row(qweights.data(),
-                 ip.zero_point + simd::gemm_activation_bias(simd_), n));
+                 ip.zero_point + simd::gemm_activation_bias(simd_), n, qbias));
 }
 
 QTensor KernelBackend::conv2d(const QTensor& in, const Layer& l,
@@ -507,7 +510,8 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
     const LutView t = lut_panel(qweights, n, static_cast<int>(k), bits);
     lut_conv2d_impl(arena_, in_shape, in_params, l, t.tables, t.wsum, wparams,
                     qbias, pack_row, out, simd_,
-                    offset_row(qweights.data(), in_params.zero_point, n));
+                    offset_row(qweights.data(), in_params.zero_point, n,
+                               qbias));
     return out;
   }
   arena_.reset();
@@ -516,7 +520,8 @@ QTensor KernelBackend::conv2d_packed(std::span<const std::uint8_t> packed,
       arena_, in_shape, in_params, l, w.bt, w.wsum, wparams, qbias, pack_row,
       out, simd_,
       offset_row(qweights.data(),
-                 in_params.zero_point + simd::gemm_activation_bias(simd_), n));
+                 in_params.zero_point + simd::gemm_activation_bias(simd_), n,
+                 qbias));
   return out;
 }
 
@@ -571,7 +576,7 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
     const LutView t = lut_panel(qweights, l.out_channels, kf_lut, ip.bits);
     const int n = l.out_channels;
     std::span<const std::int32_t> offset =
-        offset_row(qweights.data(), ip.zero_point, n);
+        offset_row(qweights.data(), ip.zero_point, n, qbias);
     if (offset.empty()) {
       auto row = arena_.i32(static_cast<std::size_t>(n));
       for (int j = 0; j < n; ++j) {
@@ -610,7 +615,8 @@ void KernelBackend::fully_connected_into(const QTensor& in, const Layer& l,
   const PanelView w = weight_panel(qweights, n, k);
   const std::int32_t a_zp =
       ip.zero_point + simd::gemm_activation_bias(simd_);
-  std::span<const std::int32_t> offset = offset_row(qweights.data(), a_zp, n);
+  std::span<const std::int32_t> offset =
+      offset_row(qweights.data(), a_zp, n, qbias);
   if (offset.empty()) {
     auto row = arena_.i32(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) {

@@ -173,12 +173,16 @@ class KernelBackend {
   // Installs a precomputed per-column constant row (bias − a_zp·Σw) for the
   // weight blob at `key`, valid only at the recorded activation zero point
   // `a_zp` (which folds in the dot generation's +128 activation bias, so
-  // the row is kernel-generation-dependent). Ops validate a_zp and length
+  // the row is kernel-generation-dependent) and for the bias stored at
+  // `bias` (null: no bias). Ops validate a_zp, length and the bias address
   // before use and silently fall back to the per-run scratch computation on
   // mismatch — correctness never depends on the registration matching the
-  // live kernel generation.
+  // live kernel generation, nor on every caller passing the baked bias
+  // (mixed-precision patch branches pass their own rescaled biases for the
+  // same weights).
   void register_offset_row(const std::int8_t* key, std::int32_t a_zp,
-                           std::span<const std::int32_t> offset);
+                           std::span<const std::int32_t> offset,
+                           const std::int32_t* bias);
 
   // --- integer ops (contracts in int8_kernels.h) ---------------------------
   // Each op has a value-returning form and an `_into` form writing into a
@@ -296,12 +300,15 @@ class KernelBackend {
   struct OffsetRow {
     std::int32_t a_zp;
     std::span<const std::int32_t> offset;
+    const std::int32_t* bias;
   };
 
   // The registered offset row for `key` iff it was computed at `a_zp` with
-  // `n` columns; empty span otherwise (callers then compute into scratch).
+  // `n` columns from the caller's bias `qbias` itself (same storage); empty
+  // span otherwise (callers then compute into scratch).
   [[nodiscard]] std::span<const std::int32_t> offset_row(
-      const std::int8_t* key, std::int32_t a_zp, int n) const;
+      const std::int8_t* key, std::int32_t a_zp, int n,
+      std::span<const std::int32_t> qbias) const;
 
   // Affinity assert shared by every op entry point.
   void guard() const { affinity_.check("KernelBackend"); }

@@ -582,13 +582,17 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
       const std::int32_t a_zp_now =
           effective[static_cast<std::size_t>(l.inputs[0])].zero_point +
           a_bias_now;
+      // The rows hold this layer's deployment bias; mixed-precision patch
+      // branches pass their own rescaled biases and must not adopt them.
+      const std::int32_t* baked_bias =
+          params->bias[i].empty() ? nullptr : params->bias[i].data();
       const auto* offr = reinterpret_cast<const std::int32_t*>(blob_bytes(
           offr_off, static_cast<std::uint64_t>(n) * 4, alignof(std::int32_t)));
       if (a_zp_now == baked_a_zp) {
         bundle->offsets.push_back(
             {qw, baked_a_zp,
-             std::span<const std::int32_t>(offr,
-                                           static_cast<std::size_t>(n))});
+             std::span<const std::int32_t>(offr, static_cast<std::size_t>(n)),
+             baked_bias});
       } else {
         // Kernel-generation mismatch: re-derive this small row for the
         // running generation (offset[j] = bias[j] − a_zp·wsum[j]).
@@ -604,7 +608,8 @@ std::shared_ptr<const PlanArtifact> PlanArtifact::map(
         art->rederived_offsets_.push_back(std::move(row));
         bundle->offsets.push_back(
             {qw, a_zp_now,
-             std::span<const std::int32_t>(art->rederived_offsets_.back())});
+             std::span<const std::int32_t>(art->rederived_offsets_.back()),
+             baked_bias});
       }
 
       const auto adopt_lut = [&](int bits, std::uint64_t off,

@@ -79,9 +79,9 @@ class InferenceSession {
   }
 
   // Pool-run flavour for models with intra-request parallelism
-  // (CompiledPatchModel::run(input, WorkerPool*)): the session's request
-  // accounting, the model's parallel path. Only instantiated when called,
-  // so plain run(input)-only models cost nothing.
+  // (patch::BasicCompiledPatchModel::run(input, WorkerPool*)): the
+  // session's request accounting, the model's parallel path. Only
+  // instantiated when called, so plain run(input)-only models cost nothing.
   template <class Pool>
   Output run(const Tensor& input, Pool* pool) {
     ++requests_;

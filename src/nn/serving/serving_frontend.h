@@ -7,7 +7,7 @@
 //     thread per lane.
 //   * Intra-request: each lane owns a WorkerPool slice of
 //     workers_per_session lanes (the serving thread is worker 0), so a
-//     pool-runnable model (CompiledPatchModel / CompiledPatchQuantModel
+//     pool-runnable model (either patch::BasicCompiledPatchModel domain,
 //     run(input, WorkerPool*)) pipelines one request inside its slice
 //     while other lanes serve other requests. Plain run(input) models
 //     simply ignore the slice machinery.

@@ -77,8 +77,8 @@ struct StreamingStats {
   }
 };
 
-// Model is patch::CompiledPatchModel or patch::CompiledPatchQuantModel —
-// anything exposing plan()/pipelined_tail()/run_streaming().
+// Model is an instance of patch::BasicCompiledPatchModel (float or int8
+// domain) — anything exposing plan()/pipelined_tail()/run_streaming().
 template <class Model>
 class StreamingSession {
  public:

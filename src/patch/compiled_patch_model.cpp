@@ -68,65 +68,279 @@ nn::TensorShape region_shape(const BranchStep& step, int channels) {
   return {step.out_region.y.size(), step.out_region.x.size(), channels};
 }
 
-nn::Tensor borrow_f32(nn::ops::ScratchArena& a, const nn::TensorShape& s) {
-  auto buf = a.f32(static_cast<std::size_t>(s.elements()));
-  return nn::Tensor(s, std::span<float>(buf.data(), buf.size()));
+// --- domain glue -----------------------------------------------------------
+// What differs between the float and int8 domains, as overloads on the
+// domain or its tensor type that the runtime template resolves at compile
+// time. Float views carry no parameters; NoParams stands in for QuantParams.
+
+struct NoParams {};
+
+NoParams params_of(const nn::Tensor&) { return {}; }
+const nn::QuantParams& params_of(const nn::QTensor& t) { return t.params(); }
+
+nn::Tensor make_view(const nn::TensorShape& s, NoParams, float* data) {
+  return nn::Tensor(
+      s, std::span<float>(data, static_cast<std::size_t>(s.elements())));
 }
 
-nn::QTensor borrow_q(nn::ops::ScratchArena& a, const nn::TensorShape& s,
-                     const nn::QuantParams& p) {
-  auto buf = a.i8(static_cast<std::size_t>(s.elements()));
-  return nn::QTensor(s, p, std::span<std::int8_t>(buf.data(), buf.size()));
+nn::QTensor make_view(const nn::TensorShape& s, const nn::QuantParams& p,
+                      std::int8_t* data) {
+  return nn::QTensor(
+      s, p,
+      std::span<std::int8_t>(data, static_cast<std::size_t>(s.elements())));
 }
 
-// Binds a float view onto its planned slot at `base`. `measured` tracks the
+nn::Tensor borrow(nn::ops::ScratchArena& a, const nn::TensorShape& s,
+                  NoParams) {
+  return make_view(s, {}, a.f32(static_cast<std::size_t>(s.elements())).data());
+}
+
+nn::QTensor borrow(nn::ops::ScratchArena& a, const nn::TensorShape& s,
+                   const nn::QuantParams& p) {
+  return make_view(s, p, a.i8(static_cast<std::size_t>(s.elements())).data());
+}
+
+// Binds a view onto its planned slot at `base`. `measured` tracks the
 // furthest byte actually written through bound views (base-relative), not
 // the planned slot size: the high-water is a measurement, and it reaches
 // the planned peak because the largest branch fully exercises its slot.
-nn::Tensor bind_f32_slot(std::uint8_t* base, const nn::ArenaSlot& slot,
-                         const nn::TensorShape& shape,
-                         std::int64_t& measured) {
+template <class Domain, class Params>
+typename Domain::Tensor bind_slot(std::uint8_t* base,
+                                  const nn::ArenaSlot& slot,
+                                  const nn::TensorShape& shape,
+                                  const Params& p, std::int64_t& measured) {
+  using Elem = typename Domain::Elem;
   const std::int64_t bytes =
-      shape.elements() * static_cast<std::int64_t>(sizeof(float));
+      shape.elements() * static_cast<std::int64_t>(sizeof(Elem));
   QMCU_ENSURE(bytes <= slot.size, "bound view exceeds its arena slot");
   measured = std::max(measured, slot.offset + bytes);
-  auto* data = reinterpret_cast<float*>(base + slot.offset);
-  return nn::Tensor(
-      shape, std::span<float>(data, static_cast<std::size_t>(shape.elements())));
-}
-
-nn::QTensor bind_q_slot(std::uint8_t* base, const nn::ArenaSlot& slot,
-                        const nn::TensorShape& shape, const nn::QuantParams& p,
-                        std::int64_t& measured) {
-  QMCU_ENSURE(shape.elements() <= slot.size,
-              "bound view exceeds its arena slot");
-  measured = std::max(measured, slot.offset + shape.elements());
-  auto* data = reinterpret_cast<std::int8_t*>(base + slot.offset);
-  return nn::QTensor(
-      shape, p,
-      std::span<std::int8_t>(data,
-                             static_cast<std::size_t>(shape.elements())));
+  return make_view(shape, p, reinterpret_cast<Elem*>(base + slot.offset));
 }
 
 // A zero-copy view of rows [rows.begin, rows.end) of a full feature map —
 // rows are contiguous in HWC layout, so a tail band writes (and element-wise
 // bands read) straight through the bound arena view.
-nn::Tensor row_view(nn::Tensor& t, const Interval& rows) {
+template <class T>
+T row_view(T& t, const Interval& rows) {
   const nn::TensorShape& s = t.shape();
   const std::int64_t stride = static_cast<std::int64_t>(s.w) * s.c;
-  return nn::Tensor(
-      nn::TensorShape{rows.size(), s.w, s.c},
-      t.data().subspan(static_cast<std::size_t>(rows.begin * stride),
-                       static_cast<std::size_t>(rows.size() * stride)));
+  return make_view(nn::TensorShape{rows.size(), s.w, s.c}, params_of(t),
+                   t.data()
+                       .subspan(static_cast<std::size_t>(rows.begin * stride),
+                                static_cast<std::size_t>(rows.size() * stride))
+                       .data());
 }
 
-nn::QTensor row_view(nn::QTensor& t, const Interval& rows) {
-  const nn::TensorShape& s = t.shape();
-  const std::int64_t stride = static_cast<std::int64_t>(s.w) * s.c;
-  return nn::QTensor(
-      nn::TensorShape{rows.size(), s.w, s.c}, t.params(),
-      t.data().subspan(static_cast<std::size_t>(rows.begin * stride),
-                       static_cast<std::size_t>(rows.size() * stride)));
+// Params of tail layer `id`'s bound view.
+NoParams layer_params(const FloatPatchDomain&, int) { return {}; }
+const nn::QuantParams& layer_params(const QuantPatchDomain& d, int id) {
+  return d.effective[static_cast<std::size_t>(id)];
+}
+
+// Params of branch `branch`'s step `step` (see step_params()).
+NoParams branch_step_params(const FloatPatchDomain&, const PatchPlan&, int,
+                            int) {
+  return {};
+}
+const nn::QuantParams& branch_step_params(const QuantPatchDomain& d,
+                                          const PatchPlan& plan, int branch,
+                                          int step) {
+  if (!d.branch_cfgs.empty()) {
+    return d.branch_cfgs[static_cast<std::size_t>(branch)]
+        .per_step[static_cast<std::size_t>(step)];
+  }
+  const int layer_id = plan.branches[static_cast<std::size_t>(branch)]
+                           .steps[static_cast<std::size_t>(step)]
+                           .layer_id;
+  return d.effective[static_cast<std::size_t>(layer_id)];
+}
+
+void crop_into(const nn::Tensor& have, const Region& avail,
+               const Region& want, const nn::TensorShape& full,
+               nn::Tensor& out) {
+  crop_from_region_into(have, avail, want, full, out);
+}
+// Out-of-bounds crop positions carry the producer's zero point — the
+// quantized encoding of real 0, i.e. genuine zero padding.
+void crop_into(const nn::QTensor& have, const Region& avail,
+               const Region& want, const nn::TensorShape& full,
+               nn::QTensor& out) {
+  crop_from_region_q_into(have, avail, want, full, out);
+}
+
+// A branch's Input step: its tile of the frame.
+void input_tile(nn::ops::KernelBackend&, nn::ops::ScratchArena&,
+                const nn::Tensor& frame, const Region& want, nn::Tensor& out) {
+  crop_into(frame, full_region(frame.shape()), want, frame.shape(), out);
+}
+// The quantized frame's tile is requantized straight into the branch's
+// params (mixed mode stores it sub-byte, uniform mode at int8).
+void input_tile(nn::ops::KernelBackend& backend, nn::ops::ScratchArena& crops,
+                const nn::QTensor& frame, const Region& want,
+                nn::QTensor& out) {
+  nn::QTensor crop = borrow(crops, out.shape(), frame.params());
+  crop_into(frame, full_region(frame.shape()), want, frame.shape(), crop);
+  backend.requantize_into(crop, out);
+}
+
+// Conv / depthwise layer `id` (pad-free `l`) on a materialised crop.
+// `branch` < 0 marks a tail band.
+void mac_into(const FloatPatchDomain&, const nn::Graph& g,
+              nn::ops::KernelBackend& backend, const nn::Tensor& in,
+              const nn::Layer& l, int id, int, int, nn::Tensor& out) {
+  if (l.kind == nn::OpKind::Conv2D) {
+    backend.conv2d_f32_into(in, l, g.weights(id), g.bias(id), out);
+  } else {
+    backend.depthwise_conv2d_f32_into(in, l, g.weights(id), g.bias(id), out);
+  }
+}
+// Mixed-mode branch steps take their per-branch rescaled biases; tail
+// bands and uniform mode take the deployment's.
+void mac_into(const QuantPatchDomain& d, const nn::Graph&,
+              nn::ops::KernelBackend& backend, const nn::QTensor& in,
+              const nn::Layer& l, int id, int branch, int step,
+              nn::QTensor& out) {
+  const auto i = static_cast<std::size_t>(id);
+  const std::span<const std::int32_t> bias =
+      branch >= 0 && !d.branch_cfgs.empty()
+          ? std::span<const std::int32_t>(
+                d.branch_bias[static_cast<std::size_t>(branch)]
+                             [static_cast<std::size_t>(step)])
+          : d.params->bias[i];
+  const auto& w = d.params->weights[i];
+  if (l.kind == nn::OpKind::Conv2D) {
+    backend.conv2d_into(in, l, w.data, w.params, bias, out);
+  } else {
+    backend.depthwise_conv2d_into(in, l, w.data, w.params, bias, out);
+  }
+}
+
+void pool_into(const FloatPatchDomain&, const nn::Tensor& have,
+               const Region& avail, const nn::Layer& l, const Region& want,
+               const nn::TensorShape& full, nn::Tensor& out) {
+  pool_region_f32_into(have, avail, l, want, full, out);
+}
+void pool_into(const QuantPatchDomain& d, const nn::QTensor& have,
+               const Region& avail, const nn::Layer& l, const Region& want,
+               const nn::TensorShape& full, nn::QTensor& out) {
+  const nn::ops::AvgPoolMultipliers* table = nullptr;
+  if (l.kind == nn::OpKind::AvgPool) {
+    const auto it = d.pool_tables.find(l.kernel_h * l.kernel_w);
+    QMCU_ENSURE(it != d.pool_tables.end(),
+                "AvgPool window missing from the precomputed tables");
+    table = &it->second;
+  }
+  pool_region_q_into(have, avail, l, want, full, table, out);
+}
+
+void add_into(nn::ops::KernelBackend&, const nn::Tensor& a,
+              const nn::Tensor& b, nn::Activation act, nn::Tensor& out) {
+  nn::ops::add_f32_into(a, b, act, out);
+}
+void add_into(nn::ops::KernelBackend& backend, const nn::QTensor& a,
+              const nn::QTensor& b, nn::Activation act, nn::QTensor& out) {
+  backend.add_into(a, b, act, out);
+}
+
+void concat_into(nn::ops::KernelBackend&,
+                 std::span<const nn::Tensor* const> inputs, nn::Tensor& out) {
+  nn::ops::concat_f32_into(inputs, out);
+}
+void concat_into(nn::ops::KernelBackend& backend,
+                 std::span<const nn::QTensor* const> inputs,
+                 nn::QTensor& out) {
+  backend.concat_into(inputs, out);
+}
+
+// Merges a branch's final tile into the assembled map; with `changed` set,
+// compares before writing (streaming). Tiles are disjoint, so concurrent
+// merges from several workers commute.
+void merge_tile(const nn::Tensor& tile, const Region& r, nn::Tensor& assembled,
+                bool* changed) {
+  if (changed == nullptr) {
+    merge_region_f32(tile, r, assembled);
+  } else {
+    *changed = merge_region_f32_changed(tile, r, assembled);
+  }
+}
+// The int8 merge requantizes the tile into the assembled map's params
+// (identity copy in uniform mode).
+void merge_tile(const nn::QTensor& tile, const Region& r,
+                nn::QTensor& assembled, bool* changed) {
+  if (changed == nullptr) {
+    merge_region_q(tile, r, assembled);
+  } else {
+    *changed = merge_region_q_changed(tile, r, assembled);
+  }
+}
+
+void run_layer_into(const FloatPatchDomain&, const nn::Graph& g, int id,
+                    std::span<const nn::Tensor> memo,
+                    nn::ops::KernelBackend& backend, nn::Tensor& out) {
+  nn::run_layer_f32_into(g, id, memo, backend, out);
+}
+void run_layer_into(const QuantPatchDomain& d, const nn::Graph& g, int id,
+                    std::span<const nn::QTensor> memo,
+                    nn::ops::KernelBackend& backend, nn::QTensor& out) {
+  nn::run_layer_q_into(g, id, memo, *d.params, backend, out);
+}
+
+// Readies a new worker lane's backend. Float has nothing to prepack: the
+// float conv path packs its k-major panel into arena scratch per call (no
+// f32 panel cache exists), so a fresh context is ready immediately.
+void prepare_lane(const FloatPatchDomain&, const nn::Graph&, const PatchPlan&,
+                  nn::ops::KernelBackend&) {}
+void prepare_lane(const QuantPatchDomain& d, const nn::Graph& g,
+                  const PatchPlan& plan, nn::ops::KernelBackend& backend) {
+  // Artifact path: adopt the precomputed panels first, so the prepack
+  // pass below is a no-op for everything the artifact baked.
+  if (d.bundle != nullptr) d.bundle->apply(backend);
+  // Pre-pack the conv panels any task on this lane may need — stage
+  // convs for branch tasks, tail convs for row bands and the join — so a
+  // lane's first run pays no packing cost (construction-time work,
+  // exempt from the affinity guard). Gated on the quantized params, not
+  // the graph: the artifact path loads a topology-only graph.
+  const auto prepack = [&](int layer_id) {
+    const nn::Layer& l = g.layer(layer_id);
+    const auto& w = d.params->weights[static_cast<std::size_t>(layer_id)];
+    if (w.data.empty()) return;
+    const int in_bits = d.effective[static_cast<std::size_t>(l.inputs[0])].bits;
+    if (l.kind == nn::OpKind::Conv2D) {
+      const int n = l.out_channels;
+      const int k = static_cast<int>(w.data.size()) / n;
+      backend.prepack(w.data, n, k);
+      // Sub-byte stages may take the LUT path: bake the recode up front
+      // so a lane's first patch pays no table construction. Only tables
+      // the current force mode can actually run are baked — 4-bit
+      // tables cost 32*n*k bytes and only run under QMCU_FORCE_LUT.
+      if (nn::ops::lut::lut_planned(in_bits)) {
+        backend.prepack_lut(w.data, n, k, in_bits);
+      }
+    } else if (l.kind == nn::OpKind::FullyConnected) {
+      const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
+      // fc shares the conv panel GEMM since the microkernel rewrite.
+      backend.prepack(w.data, l.out_channels, k);
+      if (nn::ops::lut::lut_planned(in_bits)) {
+        backend.prepack_lut(w.data, l.out_channels, k, in_bits);
+      }
+    }
+  };
+  for (const BranchStep& step : plan.branches.front().steps) {
+    prepack(step.layer_id);
+  }
+  for (int id = plan.spec.split_layer + 1; id < g.size(); ++id) prepack(id);
+}
+
+// Feeds the opt-in stats hook (int8 only) the cut layer and every tail
+// layer once a run completes.
+void report_stats(const FloatPatchDomain&, int, std::span<const nn::Tensor>) {}
+void report_stats(const QuantPatchDomain& d, int split,
+                  std::span<const nn::QTensor> memo) {
+  if (!d.stats_hook) return;
+  for (std::size_t id = static_cast<std::size_t>(split); id < memo.size();
+       ++id) {
+    d.stats_hook(static_cast<int>(id), memo[id]);
+  }
 }
 
 constexpr bool rows_overlap(const Interval& a, const Interval& b) {
@@ -154,13 +368,13 @@ int chunks_per_grid_row(const PatchPlan& plan, int workers) {
                          plan.spec.grid_rows);
 }
 
-// Builds the dataflow graph shared by the float and quant pipelined runs:
-// cost-weighted branch-chunk tasks per grid row -> tail row-band tasks
-// wired through the precomputed readiness structure -> one join task for
-// the non-banded rest of the tail. The body callbacks capture only the
-// model (`this`), so the returned graph is cacheable per worker count —
-// per-run state travels through the model's run_* members instead of the
-// closures. Signatures: branch(b, lane), band(pi, j, lane), rest(lane).
+// Builds the pipelined dataflow graph: cost-weighted branch-chunk tasks per
+// grid row -> tail row-band tasks wired through the precomputed readiness
+// structure -> one join task for the non-banded rest of the tail. The body
+// callbacks capture only the model (`this`), so the returned graph is
+// cacheable per worker count — per-run state travels through the model's
+// run_* members instead of the closures. Signatures: branch(b, lane),
+// band(pi, j, lane), rest(lane).
 template <class BranchBody, class BandBody, class RestBody>
 nn::TaskGraph build_pipeline_graph(const PatchPlan& plan,
                                    std::span<const PipelinedTailLayer> bands,
@@ -212,6 +426,35 @@ nn::TaskGraph build_pipeline_graph(const PatchPlan& plan,
   const int join = graph.add([rest_body](int lane) { rest_body(lane); });
   for (int t = 0; t < join_preds; ++t) graph.depend(join, t);
   return graph;
+}
+
+// Clears one frame's change-propagation flags and counters. On the priming
+// frame (`force_all_dirty`) every grid row starts dirty instead: the
+// arena's initial bytes are not a valid previous frame, so a first-frame
+// merge that happens to match them (all-zero quant tiles over a fresh
+// zeroed buffer) must not suppress the bands downstream of it.
+void reset_stream_frame(StreamState& state, int grid_rows, int total_bands,
+                        bool force_all_dirty) {
+  const char row_init = force_all_dirty ? 1 : 0;
+  for (int r = 0; r < grid_rows; ++r) {
+    state.row_changed[static_cast<std::size_t>(r)].store(
+        row_init, std::memory_order_relaxed);
+  }
+  for (int i = 0; i < total_bands; ++i) {
+    state.band_changed[static_cast<std::size_t>(i)].store(
+        0, std::memory_order_relaxed);
+  }
+  state.any_changed.store(row_init, std::memory_order_relaxed);
+  state.branches_run.store(0, std::memory_order_relaxed);
+  state.bands_run.store(0, std::memory_order_relaxed);
+}
+
+int total_band_count(std::span<const PipelinedTailLayer> pipeline) {
+  int total = 0;
+  for (const PipelinedTailLayer& pl : pipeline) {
+    total += static_cast<int>(pl.bands.size());
+  }
+  return total;
 }
 
 }  // namespace
@@ -327,34 +570,119 @@ std::vector<std::vector<std::vector<std::int32_t>>> build_branch_bias(
   return branch_bias;
 }
 
-// --- float -----------------------------------------------------------------
+// --- QuantPatchDomain ------------------------------------------------------
 
-CompiledPatchModel::CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                                       nn::ops::KernelTier tier)
+QuantPatchDomain::QuantPatchDomain(
+    const nn::Graph& g, const PatchPlan& plan, nn::ActivationQuantConfig cfg_in,
+    std::vector<BranchQuantConfig> branch_cfgs_in,
+    std::shared_ptr<const nn::QuantizedParameters> params_in,
+    PrecompiledPatchParts& parts)
+    : cfg(std::move(cfg_in)),
+      effective(nn::effective_output_params(g, cfg)),
+      branch_cfgs(std::move(branch_cfgs_in)),
+      params(params_in ? std::move(params_in)
+                       : nn::QuantizedParameters::build_shared(g, cfg)),
+      bundle(std::move(parts.kernels)) {
+  if (!branch_cfgs.empty()) {
+    QMCU_REQUIRE(branch_cfgs.size() == plan.branches.size(),
+                 "branch configs must cover every branch");
+    for (std::size_t b = 0; b < branch_cfgs.size(); ++b) {
+      QMCU_REQUIRE(branch_cfgs[b].per_step.size() ==
+                       plan.branches[b].steps.size(),
+                   "branch config must cover every step");
+    }
+    if (parts.branch_bias.empty()) {
+      branch_bias = build_branch_bias(g, plan, branch_cfgs, *params);
+    } else {
+      // Artifact-supplied biases (the graph may be topology-only, so the
+      // float-bias rescale that build_branch_bias runs is not available).
+      QMCU_REQUIRE(parts.branch_bias.size() == plan.branches.size(),
+                   "precomputed branch bias must cover every branch");
+      branch_bias = std::move(parts.branch_bias);
+    }
+  }
+  // AvgPool reciprocal tables for every window size the graph uses —
+  // built now so the run path (possibly many workers at once) only reads.
+  for (int id = 0; id < g.size(); ++id) {
+    const nn::Layer& l = g.layer(id);
+    if (l.kind != nn::OpKind::AvgPool) continue;
+    const int count = l.kernel_h * l.kernel_w;
+    pool_tables.emplace(count, nn::ops::AvgPoolMultipliers(count));
+  }
+}
+
+// --- BasicCompiledPatchModel: construction and planning --------------------
+
+template <class D>
+BasicCompiledPatchModel<D>::BasicCompiledPatchModel(const nn::Graph& g,
+                                                    PatchPlan plan,
+                                                    nn::ops::KernelTier tier)
+  requires(!D::kQuantized)
     : graph_(&g), plan_(std::move(plan)), backend_(tier) {
+  plan_layout({});
+}
+
+template <class D>
+BasicCompiledPatchModel<D>::BasicCompiledPatchModel(
+    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+    std::vector<BranchQuantConfig> branch_cfgs, nn::ops::KernelTier tier,
+    std::shared_ptr<const nn::QuantizedParameters> params)
+  requires(D::kQuantized)
+    : BasicCompiledPatchModel(g, std::move(plan), std::move(cfg),
+                              std::move(branch_cfgs), std::move(params),
+                              PrecompiledPatchParts{}, tier) {}
+
+template <class D>
+BasicCompiledPatchModel<D>::BasicCompiledPatchModel(
+    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+    std::vector<BranchQuantConfig> branch_cfgs,
+    std::shared_ptr<const nn::QuantizedParameters> params,
+    PrecompiledPatchParts parts, nn::ops::KernelTier tier)
+  requires(D::kQuantized)
+    : graph_(&g),
+      plan_(std::move(plan)),
+      dom_(g, plan_, std::move(cfg), std::move(branch_cfgs),
+           std::move(params), parts),
+      backend_(tier) {
+  if (dom_.bundle != nullptr) dom_.bundle->apply(backend_);
+  plan_layout(std::move(parts.pipeline));
+}
+
+template <class D>
+void BasicCompiledPatchModel<D>::plan_layout(
+    std::vector<PipelinedTailLayer> pipeline) {
   QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
-  const PatchTimeline t = build_timeline(
-      g, plan_, static_cast<std::int64_t>(sizeof(float)));
+  const nn::Graph& g = *graph_;
+  constexpr auto elem_bytes = static_cast<std::int64_t>(sizeof(Elem));
+  PatchTimeline t = build_timeline(g, plan_, elem_bytes);
   num_steps_ = t.num_steps;
   assembled_slot_ = t.assembled_index;
+  if constexpr (D::kQuantized) {
+    // Quantized full input, cropped by every branch: live across the whole
+    // branch phase.
+    input_slot_ = static_cast<int>(t.requests.size());
+    t.requests.push_back({g.shape(g.inputs().front()).elements() * elem_bytes,
+                          0, std::max(num_steps_ - 1, 0)});
+  }
   aplan_ = nn::ArenaPlanner().plan(t.requests);
   // Parallel layout inputs: branch-step slots become the per-worker slice,
-  // tail + assembled slots the shared region.
+  // everything after them the shared region.
   slice_requests_.assign(t.requests.begin(),
                          t.requests.begin() + num_steps_);
   shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
-  par_assembled_slot_ = static_cast<int>(shared_requests_.size()) - 1;
   // Pipelined dataflow structure: row-banded tail prefix (band count tied
   // to the patch grid's row granularity), branch pricing for cost-weighted
   // task chunking, and the widening horizon for plan_pipelined.
   pipeline_ =
-      build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows));
+      pipeline.empty()
+          ? build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows))
+          : std::move(pipeline);
   branch_costs_ = branch_costs(plan_);
-  pipeline_horizon_ =
-      num_steps_ + static_cast<int>(pipeline_.size()) - 1;
+  pipeline_horizon_ = num_steps_ + static_cast<int>(pipeline_.size()) - 1;
 }
 
-const nn::ParallelArenaPlan& CompiledPatchModel::parallel_plan(
+template <class D>
+const nn::ParallelArenaPlan& BasicCompiledPatchModel<D>::parallel_plan(
     int num_workers) const {
   auto it = pplans_.find(num_workers);
   if (it == pplans_.end()) {
@@ -367,7 +695,8 @@ const nn::ParallelArenaPlan& CompiledPatchModel::parallel_plan(
   return it->second;
 }
 
-const nn::ParallelArenaPlan& CompiledPatchModel::pipelined_plan(
+template <class D>
+const nn::ParallelArenaPlan& BasicCompiledPatchModel<D>::pipelined_plan(
     int num_workers) const {
   auto it = pipelined_pplans_.find(num_workers);
   if (it == pipelined_pplans_.end()) {
@@ -380,7 +709,8 @@ const nn::ParallelArenaPlan& CompiledPatchModel::pipelined_plan(
   return it->second;
 }
 
-const nn::ParallelArenaPlan& CompiledPatchModel::streaming_plan(
+template <class D>
+const nn::ParallelArenaPlan& BasicCompiledPatchModel<D>::streaming_plan(
     int num_workers) const {
   auto it = streaming_pplans_.find(num_workers);
   if (it == streaming_pplans_.end()) {
@@ -394,7 +724,18 @@ const nn::ParallelArenaPlan& CompiledPatchModel::streaming_plan(
   return it->second;
 }
 
-std::span<std::uint8_t> CompiledPatchModel::bind_run_arena(
+template <class D>
+const nn::QuantParams& BasicCompiledPatchModel<D>::step_params(int branch,
+                                                               int step) const
+  requires(D::kQuantized)
+{
+  return branch_step_params(dom_, plan_, branch, step);
+}
+
+// --- arenas, lanes and bound views -----------------------------------------
+
+template <class D>
+std::span<std::uint8_t> BasicCompiledPatchModel<D>::bind_run_arena(
     std::int64_t need, nn::ArenaSlab::Lease& lease) const {
   if (arena_source_ != nullptr) {
     lease = arena_source_->acquire(need);
@@ -406,18 +747,41 @@ std::span<std::uint8_t> CompiledPatchModel::bind_run_arena(
   return {arena_.data(), arena_.size()};
 }
 
-CompiledPatchModel::WorkerCtx& CompiledPatchModel::worker_ctx(
-    int lane) const {
-  // Unlike the quant variant there is nothing to prepack: the float conv
-  // path packs its k-major panel into arena scratch per call (no f32 panel
-  // cache exists), so a fresh context is ready immediately.
+template <class D>
+typename BasicCompiledPatchModel<D>::WorkerCtx&
+BasicCompiledPatchModel<D>::worker_ctx(int lane) const {
   while (static_cast<int>(workers_.size()) <= lane) {
-    workers_.push_back(std::make_unique<WorkerCtx>(backend_.tier()));
+    auto ctx = std::make_unique<WorkerCtx>(backend_.tier());
+    prepare_lane(dom_, *graph_, plan_, ctx->backend);
+    workers_.push_back(std::move(ctx));
   }
   return *workers_[static_cast<std::size_t>(lane)];
 }
 
-std::int64_t CompiledPatchModel::scratch_bytes() const {
+template <class D>
+void BasicCompiledPatchModel<D>::prepare_lanes(int w) const {
+  for (int lane = 0; lane < w; ++lane) {
+    WorkerCtx& ctx = worker_ctx(lane);
+    ctx.backend.rebind_thread();
+    ctx.crops.rebind_thread();
+    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
+    ctx.measured = 0;
+  }
+}
+
+template <class D>
+void BasicCompiledPatchModel<D>::record_high_water(
+    const nn::ParallelArenaPlan& pplan, std::int64_t shared_measured) const {
+  measured_ = pplan.shared_offset() + shared_measured;
+  for (int lane = 0; lane < pplan.num_workers; ++lane) {
+    measured_ = std::max(
+        measured_, pplan.slice_offset(lane) +
+                       workers_[static_cast<std::size_t>(lane)]->measured);
+  }
+}
+
+template <class D>
+std::int64_t BasicCompiledPatchModel<D>::scratch_bytes() const {
   std::int64_t total = static_cast<std::int64_t>(
       crops_.footprint_bytes() + backend_.arena().footprint_bytes());
   for (const auto& w : workers_) {
@@ -427,84 +791,138 @@ std::int64_t CompiledPatchModel::scratch_bytes() const {
   return total;
 }
 
-void CompiledPatchModel::exec_branch(
-    const PatchBranch& branch, const nn::Tensor& input, std::uint8_t* base,
-    std::span<const nn::ArenaSlot> slots, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops, std::span<nn::Tensor> step_views,
-    std::int64_t& measured, nn::Tensor& assembled,
-    bool* merge_changed) const {
+template <class D>
+const typename D::Tensor& BasicCompiledPatchModel<D>::stage_input(
+    const nn::Tensor& input, std::uint8_t* base,
+    std::span<const nn::ArenaSlot> slots, int input_slot,
+    std::int64_t& measured) const {
+  if constexpr (D::kQuantized) {
+    const int id = graph_->inputs().front();
+    run_staged_ = bind_slot<D>(
+        base, slots[static_cast<std::size_t>(input_slot)], graph_->shape(id),
+        dom_.cfg.params[static_cast<std::size_t>(id)], measured);
+    nn::quantize_into(input, run_staged_);
+    return run_staged_;
+  } else {
+    return input;
+  }
+}
+
+template <class D>
+void BasicCompiledPatchModel<D>::bind_tail(
+    std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
+    int first_tail_slot, int assembled_slot, std::int64_t& measured) const {
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
+  tail_memo_.resize(static_cast<std::size_t>(g.size()));
+  tail_memo_[static_cast<std::size_t>(split)] = bind_slot<D>(
+      base, slots[static_cast<std::size_t>(assembled_slot)], g.shape(split),
+      layer_params(dom_, split), measured);
+  for (int id = split + 1; id < g.size(); ++id) {
+    tail_memo_[static_cast<std::size_t>(id)] = bind_slot<D>(
+        base,
+        slots[static_cast<std::size_t>(first_tail_slot + (id - split - 1))],
+        g.shape(id), layer_params(dom_, id), measured);
+  }
+}
+
+template <class D>
+std::int64_t BasicCompiledPatchModel<D>::bind_shared(
+    const nn::Tensor& input, std::span<std::uint8_t> arena,
+    const nn::ParallelArenaPlan& pplan) const {
+  // Shared-region slots are indexed by timeline request index less the
+  // slice's num_steps_ branch-step slots.
+  std::int64_t measured = 0;
+  run_data_ = arena.data();
+  run_pplan_ = &pplan;
+  std::uint8_t* const shared_base = run_data_ + pplan.shared_offset();
+  run_input_ = &stage_input(input, shared_base, pplan.shared.slots,
+                            input_slot_ - num_steps_, measured);
+  bind_tail(shared_base, pplan.shared.slots, 0, assembled_slot_ - num_steps_,
+            measured);
+  return measured;
+}
+
+// --- kernels ---------------------------------------------------------------
+
+template <class D>
+void BasicCompiledPatchModel<D>::exec_branch(
+    int branch_index, const Tensor& input, std::uint8_t* base,
+    std::span<const nn::ArenaSlot> slots, nn::ops::KernelBackend& backend,
+    nn::ops::ScratchArena& crops, std::span<Tensor> step_views,
+    std::int64_t& measured, Tensor& assembled, bool* merge_changed) const {
+  const nn::Graph& g = *graph_;
+  const PatchBranch& branch =
+      plan_.branches[static_cast<std::size_t>(branch_index)];
+  const auto producer_step = [&](int input_id, int s) {
+    const int p = branch.step_of(input_id);
+    QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
+    return static_cast<std::size_t>(p);
+  };
   for (int s = 0; s < num_steps_; ++s) {
     const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
     const nn::Layer& layer = g.layer(step.layer_id);
-    nn::Tensor out = bind_f32_slot(
-        base, slots[static_cast<std::size_t>(s)],
-        region_shape(step, g.shape(step.layer_id).c), measured);
+    const bool pool = layer.kind == nn::OpKind::MaxPool ||
+                      layer.kind == nn::OpKind::AvgPool;
+    // Pools never requantize: their slot carries the producer's actual
+    // params, exactly as the legacy executor's region tensors do.
+    auto out_p = branch_step_params(dom_, plan_, branch_index, s);
+    if (pool) out_p = params_of(step_views[producer_step(layer.inputs[0], s)]);
+    Tensor out = bind_slot<D>(base, slots[static_cast<std::size_t>(s)],
+                              region_shape(step, g.shape(step.layer_id).c),
+                              out_p, measured);
     crops.reset();
 
-    const auto producer_crop = [&](int input_id,
-                                   const Region& want) -> nn::Tensor {
-      const int p = branch.step_of(input_id);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      const BranchStep& ps = branch.steps[static_cast<std::size_t>(p)];
-      nn::Tensor crop = borrow_f32(
-          crops, nn::TensorShape{want.y.size(), want.x.size(),
-                                 g.shape(input_id).c});
-      crop_from_region_into(step_views[static_cast<std::size_t>(p)],
-                            ps.out_region, want, g.shape(input_id), crop);
+    const auto producer_crop = [&](int input_id, const Region& want) {
+      const std::size_t p = producer_step(input_id, s);
+      const Tensor& have = step_views[p];
+      Tensor crop = borrow(
+          crops,
+          nn::TensorShape{want.y.size(), want.x.size(), g.shape(input_id).c},
+          params_of(have));
+      crop_into(have, branch.steps[p].out_region, want, g.shape(input_id),
+                crop);
       return crop;
     };
 
     switch (layer.kind) {
       case nn::OpKind::Input:
-        crop_from_region_into(input, full_region(input.shape()),
-                              step.out_region, input.shape(), out);
+        input_tile(backend, crops, input, step.out_region, out);
         break;
       case nn::OpKind::Conv2D:
       case nn::OpKind::DepthwiseConv2D: {
         // Zero padding is exactly what the unclamped crop materialises,
         // so run the kernel pad-free on the region tensor.
-        const nn::Tensor padded =
-            producer_crop(layer.inputs[0], step.in_region);
+        const Tensor padded = producer_crop(layer.inputs[0], step.in_region);
         nn::Layer local = layer;
         local.pad_h = local.pad_w = 0;
-        if (layer.kind == nn::OpKind::Conv2D) {
-          backend.conv2d_f32_into(padded, local, g.weights(step.layer_id),
-                                  g.bias(step.layer_id), out);
-        } else {
-          backend.depthwise_conv2d_f32_into(padded, local,
-                                            g.weights(step.layer_id),
-                                            g.bias(step.layer_id), out);
-        }
+        mac_into(dom_, g, backend, padded, local, step.layer_id, branch_index,
+                 s, out);
         break;
       }
       case nn::OpKind::MaxPool:
       case nn::OpKind::AvgPool: {
-        const int p = branch.step_of(layer.inputs[0]);
-        QMCU_ENSURE(p >= 0, "producer step missing from branch");
-        pool_region_f32_into(
-            step_views[static_cast<std::size_t>(p)],
-            branch.steps[static_cast<std::size_t>(p)].out_region, layer,
-            step.out_region, g.shape(layer.inputs[0]), out);
+        const std::size_t p = producer_step(layer.inputs[0], s);
+        pool_into(dom_, step_views[p], branch.steps[p].out_region, layer,
+                  step.out_region, g.shape(layer.inputs[0]), out);
         break;
       }
       case nn::OpKind::Add: {
-        const nn::Tensor a = producer_crop(layer.inputs[0], step.out_region);
-        const nn::Tensor b = producer_crop(layer.inputs[1], step.out_region);
-        nn::ops::add_f32_into(a, b, layer.act, out);
+        const Tensor a = producer_crop(layer.inputs[0], step.out_region);
+        const Tensor b = producer_crop(layer.inputs[1], step.out_region);
+        add_into(backend, a, b, layer.act, out);
         break;
       }
       case nn::OpKind::Concat: {
-        std::vector<nn::Tensor> cropped;
+        std::vector<Tensor> cropped;
         cropped.reserve(layer.inputs.size());
         for (int in : layer.inputs) {
           cropped.push_back(producer_crop(in, step.out_region));
         }
-        std::vector<const nn::Tensor*> ptrs;
+        std::vector<const Tensor*> ptrs;
         ptrs.reserve(cropped.size());
-        for (const nn::Tensor& t : cropped) ptrs.push_back(&t);
-        nn::ops::concat_f32_into(ptrs, out);
+        for (const Tensor& t : cropped) ptrs.push_back(&t);
+        concat_into(backend, ptrs, out);
         break;
       }
       default:
@@ -514,114 +932,76 @@ void CompiledPatchModel::exec_branch(
     step_views[static_cast<std::size_t>(s)] = std::move(out);
   }
   const BranchStep& last = branch.steps.back();
-  QMCU_ENSURE(last.layer_id == split, "branch must end at the cut layer");
-  if (merge_changed == nullptr) {
-    merge_region_f32(step_views[static_cast<std::size_t>(num_steps_ - 1)],
-                     last.out_region, assembled);
-  } else {
-    *merge_changed = merge_region_f32_changed(
-        step_views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
-        assembled);
+  QMCU_ENSURE(last.layer_id == plan_.spec.split_layer,
+              "branch must end at the cut layer");
+  merge_tile(step_views[static_cast<std::size_t>(num_steps_ - 1)],
+             last.out_region, assembled, merge_changed);
+}
+
+template <class D>
+void BasicCompiledPatchModel<D>::run_layers(
+    int first, int last, nn::ops::KernelBackend& backend) const {
+  for (int id = first; id < last; ++id) {
+    run_layer_into(dom_, *graph_, id, tail_memo_, backend,
+                   tail_memo_[static_cast<std::size_t>(id)]);
   }
 }
 
-void CompiledPatchModel::bind_tail(std::uint8_t* base,
-                                   std::span<const nn::ArenaSlot> slots,
-                                   int first_tail_slot, int assembled_slot,
-                                   std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  tail_memo_.resize(static_cast<std::size_t>(g.size()));
-  tail_memo_[static_cast<std::size_t>(split)] = bind_f32_slot(
-      base, slots[static_cast<std::size_t>(assembled_slot)], g.shape(split),
-      measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    tail_memo_[static_cast<std::size_t>(id)] = bind_f32_slot(
-        base,
-        slots[static_cast<std::size_t>(first_tail_slot + (id - split - 1))],
-        g.shape(id), measured);
-  }
-}
-
-nn::Tensor CompiledPatchModel::exec_tail(std::uint8_t* base,
-                                         std::span<const nn::ArenaSlot> slots,
-                                         int first_tail_slot,
-                                         int assembled_slot,
-                                         std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  bind_tail(base, slots, first_tail_slot, assembled_slot, measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                           tail_memo_[static_cast<std::size_t>(id)]);
-  }
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-void CompiledPatchModel::exec_tail_band(int layer_id, const Interval& rows,
-                                        nn::ops::KernelBackend& backend,
-                                        nn::ops::ScratchArena& crops) const {
+template <class D>
+void BasicCompiledPatchModel<D>::exec_tail_band(
+    int layer_id, const Interval& rows, nn::ops::KernelBackend& backend,
+    nn::ops::ScratchArena& crops) const {
   const nn::Graph& g = *graph_;
   const nn::Layer& l = g.layer(layer_id);
   const nn::TensorShape& os = g.shape(layer_id);
   const Region out_region{rows, {0, os.w}};
-  nn::Tensor out =
-      row_view(tail_memo_[static_cast<std::size_t>(layer_id)], rows);
+  const auto full = [&](int id) -> Tensor& {
+    return tail_memo_[static_cast<std::size_t>(id)];
+  };
+  Tensor out = row_view(full(layer_id), rows);
   crops.reset();
   switch (l.kind) {
     case nn::OpKind::Conv2D:
     case nn::OpKind::DepthwiseConv2D: {
-      // Same trick as the branch steps: materialise the (unclamped) input
-      // region with zero fill and run the kernel pad-free — bit-identical
-      // to the padded full-map call, proven by the patch/layer parity
-      // tests.
+      // Same construction as the branch steps: materialise the (unclamped)
+      // input region with zero fill and run the kernel pad-free —
+      // bit-identical to the padded full-map call, proven by the
+      // patch/layer parity tests.
       const nn::TensorShape& is = g.shape(l.inputs[0]);
+      const Tensor& in_full = full(l.inputs[0]);
       const Region want = required_input_region(l, is, out_region);
-      nn::Tensor crop = borrow_f32(
-          crops,
-          nn::TensorShape{want.y.size(), want.x.size(), is.c});
-      crop_from_region_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                            full_region(is), want, is, crop);
+      Tensor crop =
+          borrow(crops, nn::TensorShape{want.y.size(), want.x.size(), is.c},
+                 params_of(in_full));
+      crop_into(in_full, full_region(is), want, is, crop);
       nn::Layer local = l;
       local.pad_h = local.pad_w = 0;
-      if (l.kind == nn::OpKind::Conv2D) {
-        backend.conv2d_f32_into(crop, local, g.weights(layer_id),
-                                g.bias(layer_id), out);
-      } else {
-        backend.depthwise_conv2d_f32_into(crop, local,
-                                          g.weights(layer_id),
-                                          g.bias(layer_id), out);
-      }
+      mac_into(dom_, g, backend, crop, local, layer_id, -1, 0, out);
       break;
     }
     case nn::OpKind::MaxPool:
     case nn::OpKind::AvgPool: {
       const nn::TensorShape& is = g.shape(l.inputs[0]);
-      pool_region_f32_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                           full_region(is), l, out_region, is, out);
+      pool_into(dom_, full(l.inputs[0]), full_region(is), l, out_region, is,
+                out);
       break;
     }
     case nn::OpKind::Add: {
       // Element-wise: the band reads exactly its own rows of both inputs —
       // pure views, no copy.
-      nn::Tensor a =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[0])], rows);
-      nn::Tensor b =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[1])], rows);
-      nn::ops::add_f32_into(a, b, l.act, out);
+      const Tensor a = row_view(full(l.inputs[0]), rows);
+      const Tensor b = row_view(full(l.inputs[1]), rows);
+      add_into(backend, a, b, l.act, out);
       break;
     }
     case nn::OpKind::Concat: {
-      std::vector<nn::Tensor> views;
+      std::vector<Tensor> views;
       views.reserve(l.inputs.size());
-      for (const int in : l.inputs) {
-        views.push_back(
-            row_view(tail_memo_[static_cast<std::size_t>(in)], rows));
-      }
-      std::vector<const nn::Tensor*> ptrs;
+      for (const int in : l.inputs) views.push_back(row_view(full(in), rows));
+      std::vector<const Tensor*> ptrs;
       ptrs.reserve(views.size());
-      for (const nn::Tensor& t : views) ptrs.push_back(&t);
-      nn::ops::concat_f32_into(ptrs, out);
+      for (const Tensor& t : views) ptrs.push_back(&t);
+      concat_into(backend, ptrs, out);
       break;
     }
     default:
@@ -630,7 +1010,11 @@ void CompiledPatchModel::exec_tail_band(int layer_id, const Interval& rows,
   }
 }
 
-nn::Tensor CompiledPatchModel::run(const nn::Tensor& input) const {
+// --- runs ------------------------------------------------------------------
+
+template <class D>
+typename D::Tensor BasicCompiledPatchModel<D>::run(
+    const nn::Tensor& input) const {
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
@@ -638,28 +1022,33 @@ nn::Tensor CompiledPatchModel::run(const nn::Tensor& input) const {
   nn::ArenaSlab::Lease lease;
   const std::span<std::uint8_t> arena =
       bind_run_arena(aplan_.peak_bytes, lease);
-  nn::check_arena(arena, aplan_.peak_bytes, alignof(float));
+  nn::check_arena(arena, aplan_.peak_bytes, alignof(Elem));
   // Compiled runs are per-run thread-affine: hand this run's contexts to
   // the calling thread.
   backend_.rebind_thread();
   crops_.rebind_thread();
   measured_ = 0;
 
-  nn::Tensor assembled = bind_f32_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(assembled_slot_)],
-      g.shape(split), measured_);
+  const Tensor& frame =
+      stage_input(input, arena.data(), aplan_.slots, input_slot_, measured_);
+  bind_tail(arena.data(), aplan_.slots, num_steps_, assembled_slot_,
+            measured_);
   step_views_.resize(static_cast<std::size_t>(num_steps_));
-  for (const PatchBranch& branch : plan_.branches) {
-    exec_branch(branch, input, arena.data(),
+  for (int bi = 0; bi < static_cast<int>(plan_.branches.size()); ++bi) {
+    exec_branch(bi, frame, arena.data(),
                 std::span<const nn::ArenaSlot>(aplan_.slots)
                     .subspan(0, static_cast<std::size_t>(num_steps_)),
-                backend_, crops_, step_views_, measured_, assembled);
+                backend_, crops_, step_views_, measured_,
+                tail_memo_[static_cast<std::size_t>(split)]);
   }
-  return exec_tail(arena.data(), aplan_.slots, num_steps_, assembled_slot_,
-                   measured_);
+  run_layers(split + 1, g.size(), backend_);
+  report_stats(dom_, split, tail_memo_);
+  return tail_memo_[static_cast<std::size_t>(g.output())];
 }
 
-nn::TaskGraph& CompiledPatchModel::pipeline_graph(int num_workers) const {
+template <class D>
+nn::TaskGraph& BasicCompiledPatchModel<D>::pipeline_graph(
+    int num_workers) const {
   auto it = pipeline_graphs_.find(num_workers);
   if (it != pipeline_graphs_.end()) return it->second;
   const int first_rest =
@@ -681,7 +1070,7 @@ nn::TaskGraph& CompiledPatchModel::pipeline_graph(int num_workers) const {
                 WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
                 bool changed = false;
                 exec_branch(
-                    plan_.branches[static_cast<std::size_t>(b)], *run_input_,
+                    static_cast<int>(b), *run_input_,
                     run_data_ + run_pplan_->slice_offset(lane),
                     run_pplan_->slice.slots, ctx.backend, ctx.crops,
                     ctx.step_views, ctx.measured,
@@ -706,230 +1095,15 @@ nn::TaskGraph& CompiledPatchModel::pipeline_graph(int num_workers) const {
                     !run_stream_->frame_changed_output()) {
                   return;
                 }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                for (int id = first_rest; id < graph_->size(); ++id) {
-                  nn::run_layer_f32_into(
-                      *graph_, id, tail_memo_, ctx.backend,
-                      tail_memo_[static_cast<std::size_t>(id)]);
-                }
+                run_layers(first_rest, graph_->size(),
+                           workers_[static_cast<std::size_t>(lane)]->backend);
               }))
       .first->second;
 }
 
-// --- streaming (float) ------------------------------------------------------
-
-void CompiledPatchModel::prime_stream_state(StreamState& state,
-                                            int workers) const {
-  QMCU_REQUIRE(workers >= 1, "streaming needs at least one lane");
-  if (state.workers != 0) {
-    QMCU_REQUIRE(state.workers == workers,
-                 "stream state is pinned to its first frame's worker count");
-  }
-  state.workers = workers;
-  state.branch_dirty.resize(plan_.branches.size(), 1);
-  if (state.row_changed == nullptr) {
-    state.row_changed = std::make_unique<std::atomic<char>[]>(
-        static_cast<std::size_t>(plan_.spec.grid_rows));
-    state.band_offset.resize(pipeline_.size());
-    int total = 0;
-    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
-      state.band_offset[pi] = total;
-      total += static_cast<int>(pipeline_[pi].bands.size());
-    }
-    state.band_changed = std::make_unique<std::atomic<char>[]>(
-        static_cast<std::size_t>(std::max(total, 1)));
-  }
-}
-
-std::span<std::uint8_t> CompiledPatchModel::bind_stream_arena(
-    std::int64_t need, StreamState& state) const {
-  if (arena_source_ != nullptr) {
-    if (state.lease.empty() ||
-        static_cast<std::int64_t>(state.lease.bytes().size()) < need) {
-      QMCU_ENSURE(!state.primed,
-                  "streaming arena cannot be re-acquired once primed");
-      state.lease = arena_source_->acquire(need);
-    }
-    return state.lease.bytes();
-  }
-  if (static_cast<std::int64_t>(state.owned.size()) < need) {
-    QMCU_ENSURE(!state.primed, "streaming arena cannot grow once primed");
-    state.owned.resize(static_cast<std::size_t>(need));
-  }
-  return {state.owned.data(), state.owned.size()};
-}
-
-bool CompiledPatchModel::stream_band_needed(const StreamState& state,
-                                            std::size_t pi,
-                                            std::size_t j) const {
-  const PipelinedTailLayer& pl = pipeline_[pi];
-  for (const int r : pl.grid_row_deps[j]) {
-    if (state.row_changed[static_cast<std::size_t>(r)].load(
-            std::memory_order_relaxed) != 0) {
-      return true;
-    }
-  }
-  for (const auto& [qi, k] : pl.band_deps[j]) {
-    if (state
-            .band_changed[static_cast<std::size_t>(
-                state.band_offset[static_cast<std::size_t>(qi)] + k)]
-            .load(std::memory_order_relaxed) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void CompiledPatchModel::stream_mark_branch(StreamState& state,
-                                            std::int64_t b,
-                                            bool changed) const {
-  state.branches_run.fetch_add(1, std::memory_order_relaxed);
-  if (!changed) return;
-  state.row_changed[static_cast<std::size_t>(b / plan_.spec.grid_cols)].store(
-      1, std::memory_order_relaxed);
-  state.any_changed.store(1, std::memory_order_relaxed);
-}
-
-void CompiledPatchModel::stream_mark_band(StreamState& state, std::size_t pi,
-                                          std::size_t j) const {
-  state.bands_run.fetch_add(1, std::memory_order_relaxed);
-  state
-      .band_changed[static_cast<std::size_t>(state.band_offset[pi]) + j]
-      .store(1, std::memory_order_relaxed);
-}
-
-namespace {
-
-// Clears one frame's change-propagation flags and counters. On the priming
-// frame (`force_all_dirty`) every grid row starts dirty instead: the
-// arena's initial bytes are not a valid previous frame, so a first-frame
-// merge that happens to match them (all-zero quant tiles over a fresh
-// zeroed buffer) must not suppress the bands downstream of it.
-void reset_stream_frame(StreamState& state, int grid_rows, int total_bands,
-                        bool force_all_dirty) {
-  const char row_init = force_all_dirty ? 1 : 0;
-  for (int r = 0; r < grid_rows; ++r) {
-    state.row_changed[static_cast<std::size_t>(r)].store(
-        row_init, std::memory_order_relaxed);
-  }
-  for (int i = 0; i < total_bands; ++i) {
-    state.band_changed[static_cast<std::size_t>(i)].store(
-        0, std::memory_order_relaxed);
-  }
-  state.any_changed.store(row_init, std::memory_order_relaxed);
-  state.branches_run.store(0, std::memory_order_relaxed);
-  state.bands_run.store(0, std::memory_order_relaxed);
-}
-
-int total_band_count(std::span<const PipelinedTailLayer> pipeline) {
-  int total = 0;
-  for (const PipelinedTailLayer& pl : pipeline) {
-    total += static_cast<int>(pl.bands.size());
-  }
-  return total;
-}
-
-}  // namespace
-
-nn::Tensor CompiledPatchModel::run_streaming(const nn::Tensor& input,
-                                             nn::WorkerPool* pool,
-                                             StreamState& state) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
-               "input shape does not match graph input");
-  const int w = pool == nullptr ? 1 : pool->num_workers();
-  prime_stream_state(state, w);
-  const nn::ParallelArenaPlan& pplan = streaming_plan(w);
-  const std::span<std::uint8_t> arena =
-      bind_stream_arena(pplan.total_bytes(), state);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
-
-  // First frame: nothing retained yet, every branch runs.
-  if (!state.primed) {
-    std::fill(state.branch_dirty.begin(), state.branch_dirty.end(),
-              std::uint8_t{1});
-  }
-  reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
-                     !state.primed);
-
-  std::int64_t shared_measured = 0;
-  run_input_ = &input;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  bind_tail(run_data_ + pplan.shared_offset(), pplan.shared.slots, 0,
-            par_assembled_slot_, shared_measured);
-  run_stream_ = &state;
-
-  if (w == 1) {
-    backend_.rebind_thread();
-    crops_.rebind_thread();
-    step_views_.resize(static_cast<std::size_t>(num_steps_));
-    std::int64_t slice_measured = 0;
-    std::uint8_t* const slice_base = run_data_ + pplan.slice_offset(0);
-    for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
-      if (!state.branch_dirty[b]) continue;
-      bool changed = false;
-      exec_branch(plan_.branches[b], input, slice_base, pplan.slice.slots,
-                  backend_, crops_, step_views_, slice_measured,
-                  tail_memo_[static_cast<std::size_t>(split)], &changed);
-      stream_mark_branch(state, static_cast<std::int64_t>(b), changed);
-      if (branch_hook_) branch_hook_(static_cast<int>(b));
-    }
-    for (std::size_t pi = 0; pi < pipeline_.size(); ++pi) {
-      const std::size_t nb = pipeline_[pi].bands.size();
-      std::size_t needed = 0;
-      for (std::size_t j = 0; j < nb; ++j) {
-        needed += stream_band_needed(state, pi, j) ? 1 : 0;
-      }
-      if (needed == nb) {
-        // Every band is dirty: run the layer whole like the sequential
-        // tail (bit-identical) instead of paying one halo crop per band.
-        const int id = pipeline_[pi].layer_id;
-        nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                               tail_memo_[static_cast<std::size_t>(id)]);
-        for (std::size_t j = 0; j < nb; ++j) stream_mark_band(state, pi, j);
-        continue;
-      }
-      for (std::size_t j = 0; j < nb; ++j) {
-        if (!stream_band_needed(state, pi, j)) continue;
-        exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                       backend_, crops_);
-        stream_mark_band(state, pi, j);
-      }
-    }
-    if (state.frame_changed_output()) {
-      const int first_rest = split + 1 + static_cast<int>(pipeline_.size());
-      for (int id = first_rest; id < g.size(); ++id) {
-        nn::run_layer_f32_into(g, id, tail_memo_, backend_,
-                               tail_memo_[static_cast<std::size_t>(id)]);
-      }
-    }
-    measured_ = std::max(pplan.shared_offset() + shared_measured,
-                         pplan.slice_offset(0) + slice_measured);
-  } else {
-    for (int lane = 0; lane < w; ++lane) {
-      WorkerCtx& ctx = worker_ctx(lane);
-      ctx.backend.rebind_thread();
-      ctx.crops.rebind_thread();
-      ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-      ctx.measured = 0;
-    }
-    pool->run_graph(pipeline_graph(w));
-    measured_ = pplan.shared_offset() + shared_measured;
-    for (int lane = 0; lane < w; ++lane) {
-      measured_ = std::max(
-          measured_, pplan.slice_offset(lane) +
-                         workers_[static_cast<std::size_t>(lane)]->measured);
-    }
-  }
-  run_stream_ = nullptr;
-  state.primed = true;
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-nn::Tensor CompiledPatchModel::run(const nn::Tensor& input,
-                                   nn::WorkerPool* pool) const {
+template <class D>
+typename D::Tensor BasicCompiledPatchModel<D>::run(
+    const nn::Tensor& input, nn::WorkerPool* pool) const {
   if (pool == nullptr || pool->num_workers() == 1) return run(input);
   const nn::Graph& g = *graph_;
   QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
@@ -939,39 +1113,18 @@ nn::Tensor CompiledPatchModel::run(const nn::Tensor& input,
   nn::ArenaSlab::Lease lease;
   const std::span<std::uint8_t> arena =
       bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
-  std::int64_t shared_measured = 0;
-
-  // Stage this run's state for the cached graph's tasks: arena base, plan
-  // and input, plus every shared view (assembled map and all tail layers)
-  // bound before dispatch — tasks only read and write through them.
-  run_input_ = &input;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  bind_tail(run_data_ + pplan.shared_offset(), pplan.shared.slots, 0,
-            par_assembled_slot_, shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
+  nn::check_arena(arena, pplan.total_bytes(), alignof(Elem));
+  const std::int64_t shared_measured = bind_shared(input, arena, pplan);
+  prepare_lanes(w);
   pool->run_graph(pipeline_graph(w));
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
+  record_high_water(pplan, shared_measured);
+  report_stats(dom_, plan_.spec.split_layer, tail_memo_);
   return tail_memo_[static_cast<std::size_t>(g.output())];
 }
 
-nn::Tensor CompiledPatchModel::run_barrier(const nn::Tensor& input,
-                                           nn::WorkerPool* pool) const {
+template <class D>
+typename D::Tensor BasicCompiledPatchModel<D>::run_barrier(
+    const nn::Tensor& input, nn::WorkerPool* pool) const {
   if (pool == nullptr || pool->num_workers() == 1) return run(input);
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
@@ -982,24 +1135,11 @@ nn::Tensor CompiledPatchModel::run_barrier(const nn::Tensor& input,
   nn::ArenaSlab::Lease lease;
   const std::span<std::uint8_t> arena =
       bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), alignof(float));
+  nn::check_arena(arena, pplan.total_bytes(), alignof(Elem));
   backend_.rebind_thread();  // tail runs on the calling thread
   crops_.rebind_thread();
-  std::uint8_t* const shared_base = arena.data() + pplan.shared_offset();
-  std::int64_t shared_measured = 0;
-
-  nn::Tensor assembled = bind_f32_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_assembled_slot_)],
-      g.shape(split), shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
+  const std::int64_t shared_measured = bind_shared(input, arena, pplan);
+  prepare_lanes(w);
 
   const auto chunks = weighted_chunks(
       branch_costs_, plan_.spec.grid_rows * chunks_per_grid_row(plan_, w));
@@ -1008,567 +1148,25 @@ nn::Tensor CompiledPatchModel::run_barrier(const nn::Tensor& input,
         WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
         std::uint8_t* base = arena.data() + pplan.slice_offset(lane);
         for (std::int64_t b = b0; b < b1; ++b) {
-          exec_branch(plan_.branches[static_cast<std::size_t>(b)], input,
-                      base, pplan.slice.slots, ctx.backend, ctx.crops,
-                      ctx.step_views, ctx.measured, assembled);
+          exec_branch(static_cast<int>(b), *run_input_, base,
+                      pplan.slice.slots, ctx.backend, ctx.crops,
+                      ctx.step_views, ctx.measured,
+                      tail_memo_[static_cast<std::size_t>(split)]);
           if (branch_hook_) branch_hook_(static_cast<int>(b));
         }
       });
 
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  std::int64_t tail_measured = 0;
-  nn::Tensor out = exec_tail(shared_base, pplan.shared.slots, 0,
-                             par_assembled_slot_, tail_measured);
-  measured_ = std::max(measured_, pplan.shared_offset() + tail_measured);
-  return out;
-}
-
-// --- quantized -------------------------------------------------------------
-
-CompiledPatchQuantModel::CompiledPatchQuantModel(
-    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-    std::vector<BranchQuantConfig> branch_cfgs, nn::ops::KernelTier tier,
-    std::shared_ptr<const nn::QuantizedParameters> params)
-    : CompiledPatchQuantModel(g, std::move(plan), std::move(cfg),
-                              std::move(branch_cfgs), std::move(params),
-                              PrecompiledPatchParts{}, tier) {}
-
-CompiledPatchQuantModel::CompiledPatchQuantModel(
-    const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-    std::vector<BranchQuantConfig> branch_cfgs,
-    std::shared_ptr<const nn::QuantizedParameters> params,
-    PrecompiledPatchParts parts, nn::ops::KernelTier tier)
-    : graph_(&g),
-      plan_(std::move(plan)),
-      cfg_(std::move(cfg)),
-      effective_(nn::effective_output_params(g, cfg_)),
-      branch_cfgs_(std::move(branch_cfgs)),
-      params_(params ? std::move(params)
-                     : nn::QuantizedParameters::build_shared(g, cfg_)),
-      bundle_(std::move(parts.kernels)),
-      backend_(tier) {
-  QMCU_REQUIRE(!plan_.branches.empty(), "plan has no branches");
-  if (bundle_ != nullptr) bundle_->apply(backend_);
-  if (!branch_cfgs_.empty()) {
-    QMCU_REQUIRE(branch_cfgs_.size() == plan_.branches.size(),
-                 "branch configs must cover every branch");
-    for (std::size_t b = 0; b < branch_cfgs_.size(); ++b) {
-      QMCU_REQUIRE(branch_cfgs_[b].per_step.size() ==
-                       plan_.branches[b].steps.size(),
-                   "branch config must cover every step");
-    }
-    if (parts.branch_bias.empty()) {
-      branch_bias_ = build_branch_bias(g, plan_, branch_cfgs_, *params_);
-    } else {
-      // Artifact-supplied biases (the graph may be topology-only, so the
-      // float-bias rescale that build_branch_bias runs is not available).
-      QMCU_REQUIRE(parts.branch_bias.size() == plan_.branches.size(),
-                   "precomputed branch bias must cover every branch");
-      branch_bias_ = std::move(parts.branch_bias);
-    }
-  }
-  // AvgPool reciprocal tables for every window size the graph uses —
-  // built now so the run path (possibly many workers at once) only reads.
-  for (int id = 0; id < g.size(); ++id) {
-    const nn::Layer& l = g.layer(id);
-    if (l.kind != nn::OpKind::AvgPool) continue;
-    const int count = l.kernel_h * l.kernel_w;
-    pool_tables_.emplace(count, nn::ops::AvgPoolMultipliers(count));
-  }
-  PatchTimeline t = build_timeline(g, plan_, 1);
-  num_steps_ = t.num_steps;
-  assembled_slot_ = t.assembled_index;
-  // Quantized full input, cropped by every branch: live across the whole
-  // branch phase.
-  input_slot_ = static_cast<int>(t.requests.size());
-  t.requests.push_back({g.shape(g.inputs().front()).elements(), 0,
-                        std::max(num_steps_ - 1, 0)});
-  aplan_ = nn::ArenaPlanner().plan(t.requests);
-  slice_requests_.assign(t.requests.begin(),
-                         t.requests.begin() + num_steps_);
-  shared_requests_.assign(t.requests.begin() + num_steps_, t.requests.end());
-  par_assembled_slot_ = static_cast<int>(shared_requests_.size()) - 2;
-  par_input_slot_ = static_cast<int>(shared_requests_.size()) - 1;
-  pipeline_ =
-      parts.pipeline.empty()
-          ? build_pipelined_tail(g, plan_, std::max(2, plan_.spec.grid_rows))
-          : std::move(parts.pipeline);
-  branch_costs_ = branch_costs(plan_);
-  pipeline_horizon_ =
-      num_steps_ + static_cast<int>(pipeline_.size()) - 1;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::parallel_plan(
-    int num_workers) const {
-  auto it = pplans_.find(num_workers);
-  if (it == pplans_.end()) {
-    it = pplans_
-             .emplace(num_workers,
-                      nn::ArenaPlanner().plan_parallel(
-                          slice_requests_, shared_requests_, num_workers))
-             .first;
-  }
-  return it->second;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::pipelined_plan(
-    int num_workers) const {
-  auto it = pipelined_pplans_.find(num_workers);
-  if (it == pipelined_pplans_.end()) {
-    it = pipelined_pplans_
-             .emplace(num_workers, nn::ArenaPlanner().plan_pipelined(
-                                       slice_requests_, shared_requests_,
-                                       num_workers, pipeline_horizon_))
-             .first;
-  }
-  return it->second;
-}
-
-const nn::ParallelArenaPlan& CompiledPatchQuantModel::streaming_plan(
-    int num_workers) const {
-  auto it = streaming_pplans_.find(num_workers);
-  if (it == streaming_pplans_.end()) {
-    it = streaming_pplans_
-             .emplace(num_workers,
-                      nn::ArenaPlanner().plan_parallel(
-                          slice_requests_, widen_shared(shared_requests_),
-                          num_workers))
-             .first;
-  }
-  return it->second;
-}
-
-std::span<std::uint8_t> CompiledPatchQuantModel::bind_run_arena(
-    std::int64_t need, nn::ArenaSlab::Lease& lease) const {
-  if (arena_source_ != nullptr) {
-    lease = arena_source_->acquire(need);
-    return lease.bytes();
-  }
-  if (static_cast<std::int64_t>(arena_.size()) < need) {
-    arena_.resize(static_cast<std::size_t>(need));
-  }
-  return {arena_.data(), arena_.size()};
-}
-
-const nn::QuantParams& CompiledPatchQuantModel::step_params(int branch,
-                                                            int step) const {
-  if (!branch_cfgs_.empty()) {
-    return branch_cfgs_[static_cast<std::size_t>(branch)]
-        .per_step[static_cast<std::size_t>(step)];
-  }
-  const int layer_id = plan_.branches[static_cast<std::size_t>(branch)]
-                           .steps[static_cast<std::size_t>(step)]
-                           .layer_id;
-  return effective_[static_cast<std::size_t>(layer_id)];
-}
-
-std::int64_t CompiledPatchQuantModel::scratch_bytes() const {
-  std::int64_t total = static_cast<std::int64_t>(
-      crops_.footprint_bytes() + backend_.arena().footprint_bytes());
-  for (const auto& w : workers_) {
-    total += static_cast<std::int64_t>(w->crops.footprint_bytes() +
-                                       w->backend.arena().footprint_bytes());
-  }
-  return total;
-}
-
-const nn::ops::AvgPoolMultipliers* CompiledPatchQuantModel::pool_table(
-    const nn::Layer& l) const {
-  if (l.kind != nn::OpKind::AvgPool) return nullptr;
-  const auto it = pool_tables_.find(l.kernel_h * l.kernel_w);
-  QMCU_ENSURE(it != pool_tables_.end(),
-              "AvgPool window missing from the precomputed tables");
-  return &it->second;
-}
-
-CompiledPatchQuantModel::WorkerCtx& CompiledPatchQuantModel::worker_ctx(
-    int lane) const {
-  while (static_cast<int>(workers_.size()) <= lane) {
-    auto ctx = std::make_unique<WorkerCtx>(backend_.tier());
-    // Artifact path: adopt the precomputed panels first, so the prepack
-    // pass below is a no-op for everything the artifact baked.
-    if (bundle_ != nullptr) bundle_->apply(ctx->backend);
-    // Pre-pack the conv panels any task on this lane may need — stage
-    // convs for branch tasks, tail convs for row bands and the join — so a
-    // lane's first run pays no packing cost (construction-time work,
-    // exempt from the affinity guard). Gated on the quantized params, not
-    // the graph: the artifact path loads a topology-only graph.
-    const nn::Graph& g = *graph_;
-    const auto prepack = [&](int layer_id) {
-      const nn::Layer& l = g.layer(layer_id);
-      const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-      if (w.data.empty()) return;
-      const auto in_bits = [&] {
-        return effective_[static_cast<std::size_t>(l.inputs[0])].bits;
-      };
-      if (l.kind == nn::OpKind::Conv2D) {
-        const int n = l.out_channels;
-        const int k = static_cast<int>(w.data.size()) / n;
-        ctx->backend.prepack(w.data, n, k);
-        // Sub-byte stages may take the LUT path: bake the recode up front
-        // so a lane's first patch pays no table construction. Only tables
-        // the current force mode can actually run are baked — 4-bit
-        // tables cost 32*n*k bytes and only run under QMCU_FORCE_LUT.
-        const int bits = in_bits();
-        if (nn::ops::lut::lut_planned(bits)) {
-          ctx->backend.prepack_lut(w.data, n, k, bits);
-        }
-      } else if (l.kind == nn::OpKind::FullyConnected) {
-        const int k = static_cast<int>(g.shape(l.inputs[0]).elements());
-        // fc shares the conv panel GEMM since the microkernel rewrite.
-        ctx->backend.prepack(w.data, l.out_channels, k);
-        if (nn::ops::lut::lut_planned(in_bits())) {
-          ctx->backend.prepack_lut(w.data, l.out_channels, k, in_bits());
-        }
-      }
-    };
-    for (const BranchStep& step : plan_.branches.front().steps) {
-      prepack(step.layer_id);
-    }
-    for (int id = plan_.spec.split_layer + 1; id < g.size(); ++id) {
-      prepack(id);
-    }
-    workers_.push_back(std::move(ctx));
-  }
-  return *workers_[static_cast<std::size_t>(lane)];
-}
-
-void CompiledPatchQuantModel::exec_branch(
-    int branch_index, const nn::QTensor& qinput, std::uint8_t* base,
-    std::span<const nn::ArenaSlot> slots, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops, std::span<nn::QTensor> step_views,
-    std::int64_t& measured, nn::QTensor& assembled,
-    bool* merge_changed) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const PatchBranch& branch =
-      plan_.branches[static_cast<std::size_t>(branch_index)];
-  for (int s = 0; s < num_steps_; ++s) {
-    const BranchStep& step = branch.steps[static_cast<std::size_t>(s)];
-    const nn::Layer& layer = g.layer(step.layer_id);
-    const bool pool = layer.kind == nn::OpKind::MaxPool ||
-                      layer.kind == nn::OpKind::AvgPool;
-    // Pools never requantize: their slot carries the producer's actual
-    // params, exactly as the legacy executor's region tensors do.
-    nn::QuantParams out_p;
-    if (pool) {
-      const int p = branch.step_of(layer.inputs[0]);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      out_p = step_views[static_cast<std::size_t>(p)].params();
-    } else {
-      out_p = step_params(branch_index, s);
-    }
-    nn::QTensor out = bind_q_slot(
-        base, slots[static_cast<std::size_t>(s)],
-        region_shape(step, g.shape(step.layer_id).c), out_p, measured);
-    crops.reset();
-
-    const auto producer_crop = [&](int input_id,
-                                   const Region& want) -> nn::QTensor {
-      const int p = branch.step_of(input_id);
-      QMCU_ENSURE(p >= 0 && p < s, "producer step missing from branch");
-      const BranchStep& ps = branch.steps[static_cast<std::size_t>(p)];
-      const nn::QTensor& have = step_views[static_cast<std::size_t>(p)];
-      nn::QTensor crop = borrow_q(
-          crops,
-          nn::TensorShape{want.y.size(), want.x.size(), g.shape(input_id).c},
-          have.params());
-      crop_from_region_q_into(have, ps.out_region, want, g.shape(input_id),
-                              crop);
-      return crop;
-    };
-
-    switch (layer.kind) {
-      case nn::OpKind::Input: {
-        // The input patch tile is quantized straight into the branch's
-        // params (mixed mode stores it sub-byte, uniform mode at int8).
-        nn::QTensor crop = borrow_q(crops, out.shape(), qinput.params());
-        crop_from_region_q_into(qinput, full_region(g.shape(step.layer_id)),
-                                step.out_region, g.shape(step.layer_id),
-                                crop);
-        backend.requantize_into(crop, out);
-        break;
-      }
-      case nn::OpKind::Conv2D:
-      case nn::OpKind::DepthwiseConv2D: {
-        // Out-of-bounds crop positions carry the producer's zero point —
-        // the quantized encoding of real 0, i.e. genuine zero padding.
-        const nn::QTensor padded =
-            producer_crop(layer.inputs[0], step.in_region);
-        nn::Layer local = layer;
-        local.pad_h = local.pad_w = 0;
-        const std::span<const std::int32_t> bias =
-            branch_cfgs_.empty()
-                ? params_->bias[static_cast<std::size_t>(step.layer_id)]
-                : std::span<const std::int32_t>(
-                      branch_bias_[static_cast<std::size_t>(branch_index)]
-                                  [static_cast<std::size_t>(s)]);
-        const auto& w =
-            params_->weights[static_cast<std::size_t>(step.layer_id)];
-        if (layer.kind == nn::OpKind::Conv2D) {
-          backend.conv2d_into(padded, local, w.data, w.params, bias, out);
-        } else {
-          backend.depthwise_conv2d_into(padded, local, w.data, w.params,
-                                        bias, out);
-        }
-        break;
-      }
-      case nn::OpKind::MaxPool:
-      case nn::OpKind::AvgPool: {
-        const int p = branch.step_of(layer.inputs[0]);
-        QMCU_ENSURE(p >= 0, "producer step missing from branch");
-        pool_region_q_into(
-            step_views[static_cast<std::size_t>(p)],
-            branch.steps[static_cast<std::size_t>(p)].out_region, layer,
-            step.out_region, g.shape(layer.inputs[0]), pool_table(layer),
-            out);
-        break;
-      }
-      case nn::OpKind::Add: {
-        const nn::QTensor a = producer_crop(layer.inputs[0], step.out_region);
-        const nn::QTensor b = producer_crop(layer.inputs[1], step.out_region);
-        backend.add_into(a, b, layer.act, out);
-        break;
-      }
-      case nn::OpKind::Concat: {
-        std::vector<nn::QTensor> cropped;
-        cropped.reserve(layer.inputs.size());
-        for (int in : layer.inputs) {
-          cropped.push_back(producer_crop(in, step.out_region));
-        }
-        std::vector<const nn::QTensor*> ptrs;
-        ptrs.reserve(cropped.size());
-        for (const nn::QTensor& t : cropped) ptrs.push_back(&t);
-        backend.concat_into(ptrs, out);
-        break;
-      }
-      default:
-        QMCU_REQUIRE(false, "op kind not supported inside a patch stage: " +
-                                std::string(nn::to_string(layer.kind)));
-    }
-    step_views[static_cast<std::size_t>(s)] = std::move(out);
-  }
-  const BranchStep& last = branch.steps.back();
-  QMCU_ENSURE(last.layer_id == split, "branch must end at the cut layer");
-  // The branch slice is requantized into the shared accumulation buffer's
-  // parameters (identity copy in uniform mode). Tiles are disjoint, so
-  // concurrent merges from several workers commute.
-  if (merge_changed == nullptr) {
-    merge_region_q(step_views[static_cast<std::size_t>(num_steps_ - 1)],
-                   last.out_region, assembled);
-  } else {
-    *merge_changed = merge_region_q_changed(
-        step_views[static_cast<std::size_t>(num_steps_ - 1)], last.out_region,
-        assembled);
-  }
-}
-
-void CompiledPatchQuantModel::bind_tail(std::uint8_t* base,
-                                        std::span<const nn::ArenaSlot> slots,
-                                        int first_tail_slot,
-                                        int assembled_slot,
-                                        std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  tail_memo_.resize(static_cast<std::size_t>(g.size()));
-  tail_memo_[static_cast<std::size_t>(split)] = bind_q_slot(
-      base, slots[static_cast<std::size_t>(assembled_slot)], g.shape(split),
-      effective_[static_cast<std::size_t>(split)], measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    tail_memo_[static_cast<std::size_t>(id)] = bind_q_slot(
-        base,
-        slots[static_cast<std::size_t>(first_tail_slot + (id - split - 1))],
-        g.shape(id), effective_[static_cast<std::size_t>(id)], measured);
-  }
-}
-
-nn::QTensor CompiledPatchQuantModel::exec_tail(
-    std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-    int first_tail_slot, int assembled_slot, std::int64_t& measured) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  bind_tail(base, slots, first_tail_slot, assembled_slot, measured);
-  for (int id = split + 1; id < g.size(); ++id) {
-    nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                         tail_memo_[static_cast<std::size_t>(id)]);
-  }
+  record_high_water(pplan, shared_measured);
+  run_layers(split + 1, g.size(), backend_);
+  report_stats(dom_, split, tail_memo_);
   return tail_memo_[static_cast<std::size_t>(g.output())];
 }
 
-void CompiledPatchQuantModel::exec_tail_band(
-    int layer_id, const Interval& rows, nn::ops::KernelBackend& backend,
-    nn::ops::ScratchArena& crops) const {
-  const nn::Graph& g = *graph_;
-  const nn::Layer& l = g.layer(layer_id);
-  const nn::TensorShape& os = g.shape(layer_id);
-  const Region out_region{rows, {0, os.w}};
-  nn::QTensor out =
-      row_view(tail_memo_[static_cast<std::size_t>(layer_id)], rows);
-  crops.reset();
-  switch (l.kind) {
-    case nn::OpKind::Conv2D:
-    case nn::OpKind::DepthwiseConv2D: {
-      // Out-of-bounds crop positions carry the producer's zero point (the
-      // quantized encoding of real 0) and the kernel runs pad-free — the
-      // same construction every branch step uses, bit-identical to the
-      // padded full-map call.
-      const nn::TensorShape& is = g.shape(l.inputs[0]);
-      nn::QTensor& in_full =
-          tail_memo_[static_cast<std::size_t>(l.inputs[0])];
-      const Region want = required_input_region(l, is, out_region);
-      nn::QTensor crop = borrow_q(
-          crops, nn::TensorShape{want.y.size(), want.x.size(), is.c},
-          in_full.params());
-      crop_from_region_q_into(in_full, full_region(is), want, is, crop);
-      nn::Layer local = l;
-      local.pad_h = local.pad_w = 0;
-      const auto& w = params_->weights[static_cast<std::size_t>(layer_id)];
-      const auto& bias = params_->bias[static_cast<std::size_t>(layer_id)];
-      if (l.kind == nn::OpKind::Conv2D) {
-        backend.conv2d_into(crop, local, w.data, w.params, bias, out);
-      } else {
-        backend.depthwise_conv2d_into(crop, local, w.data, w.params,
-                                      bias, out);
-      }
-      break;
-    }
-    case nn::OpKind::MaxPool:
-    case nn::OpKind::AvgPool: {
-      const nn::TensorShape& is = g.shape(l.inputs[0]);
-      pool_region_q_into(tail_memo_[static_cast<std::size_t>(l.inputs[0])],
-                         full_region(is), l, out_region, is, pool_table(l),
-                         out);
-      break;
-    }
-    case nn::OpKind::Add: {
-      nn::QTensor a =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[0])], rows);
-      nn::QTensor b =
-          row_view(tail_memo_[static_cast<std::size_t>(l.inputs[1])], rows);
-      backend.add_into(a, b, l.act, out);
-      break;
-    }
-    case nn::OpKind::Concat: {
-      std::vector<nn::QTensor> views;
-      views.reserve(l.inputs.size());
-      for (const int in : l.inputs) {
-        views.push_back(
-            row_view(tail_memo_[static_cast<std::size_t>(in)], rows));
-      }
-      std::vector<const nn::QTensor*> ptrs;
-      ptrs.reserve(views.size());
-      for (const nn::QTensor& t : views) ptrs.push_back(&t);
-      backend.concat_into(ptrs, out);
-      break;
-    }
-    default:
-      QMCU_ENSURE(false, "op kind is not row-bandable: " +
-                             std::string(nn::to_string(l.kind)));
-  }
-}
+// --- streaming -------------------------------------------------------------
 
-nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input) const {
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(aplan_.peak_bytes, lease);
-  nn::check_arena(arena, aplan_.peak_bytes, 1);
-  backend_.rebind_thread();
-  crops_.rebind_thread();
-  measured_ = 0;
-
-  nn::QTensor qinput = bind_q_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      measured_);
-  nn::quantize_into(input, qinput);
-  nn::QTensor assembled = bind_q_slot(
-      arena.data(), aplan_.slots[static_cast<std::size_t>(assembled_slot_)],
-      g.shape(split), effective_[static_cast<std::size_t>(split)], measured_);
-  step_views_.resize(static_cast<std::size_t>(num_steps_));
-
-  for (int bi = 0; bi < static_cast<int>(plan_.branches.size()); ++bi) {
-    exec_branch(bi, qinput, arena.data(),
-                std::span<const nn::ArenaSlot>(aplan_.slots)
-                    .subspan(0, static_cast<std::size_t>(num_steps_)),
-                backend_, crops_, step_views_, measured_, assembled);
-  }
-  nn::QTensor out = exec_tail(arena.data(), aplan_.slots, num_steps_,
-                              assembled_slot_, measured_);
-  invoke_stats_hook();
-  return out;
-}
-
-nn::TaskGraph& CompiledPatchQuantModel::pipeline_graph(
-    int num_workers) const {
-  auto it = pipeline_graphs_.find(num_workers);
-  if (it != pipeline_graphs_.end()) return it->second;
-  const int first_rest =
-      plan_.spec.split_layer + 1 + static_cast<int>(pipeline_.size());
-  return pipeline_graphs_
-      .emplace(
-          num_workers,
-          build_pipeline_graph(
-              plan_, pipeline_, branch_costs_, num_workers,
-              [this](std::int64_t b, int lane) {
-                // Streaming frames route through the same cached graph
-                // (see CompiledPatchModel::pipeline_graph).
-                StreamState* stream = run_stream_;
-                if (stream != nullptr &&
-                    !stream->branch_dirty[static_cast<std::size_t>(b)]) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                bool changed = false;
-                exec_branch(
-                    static_cast<int>(b), run_qinput_,
-                    run_data_ + run_pplan_->slice_offset(lane),
-                    run_pplan_->slice.slots, ctx.backend, ctx.crops,
-                    ctx.step_views, ctx.measured,
-                    tail_memo_[static_cast<std::size_t>(
-                        plan_.spec.split_layer)],
-                    stream != nullptr ? &changed : nullptr);
-                if (stream != nullptr) stream_mark_branch(*stream, b, changed);
-                if (branch_hook_) branch_hook_(static_cast<int>(b));
-              },
-              [this](std::size_t pi, std::size_t j, int lane) {
-                StreamState* stream = run_stream_;
-                if (stream != nullptr && !stream_band_needed(*stream, pi, j)) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                exec_tail_band(pipeline_[pi].layer_id, pipeline_[pi].bands[j],
-                               ctx.backend, ctx.crops);
-                if (stream != nullptr) stream_mark_band(*stream, pi, j);
-              },
-              [this, first_rest](int lane) {
-                if (run_stream_ != nullptr &&
-                    !run_stream_->frame_changed_output()) {
-                  return;
-                }
-                WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-                for (int id = first_rest; id < graph_->size(); ++id) {
-                  nn::run_layer_q_into(
-                      *graph_, id, tail_memo_, *params_, ctx.backend,
-                      tail_memo_[static_cast<std::size_t>(id)]);
-                }
-              }))
-      .first->second;
-}
-
-// --- streaming (quantized) --------------------------------------------------
-
-void CompiledPatchQuantModel::prime_stream_state(StreamState& state,
-                                                 int workers) const {
+template <class D>
+void BasicCompiledPatchModel<D>::prime_stream_state(StreamState& state,
+                                                    int workers) const {
   QMCU_REQUIRE(workers >= 1, "streaming needs at least one lane");
   if (state.workers != 0) {
     QMCU_REQUIRE(state.workers == workers,
@@ -1590,7 +1188,8 @@ void CompiledPatchQuantModel::prime_stream_state(StreamState& state,
   }
 }
 
-std::span<std::uint8_t> CompiledPatchQuantModel::bind_stream_arena(
+template <class D>
+std::span<std::uint8_t> BasicCompiledPatchModel<D>::bind_stream_arena(
     std::int64_t need, StreamState& state) const {
   if (arena_source_ != nullptr) {
     if (state.lease.empty() ||
@@ -1608,9 +1207,10 @@ std::span<std::uint8_t> CompiledPatchQuantModel::bind_stream_arena(
   return {state.owned.data(), state.owned.size()};
 }
 
-bool CompiledPatchQuantModel::stream_band_needed(const StreamState& state,
-                                                 std::size_t pi,
-                                                 std::size_t j) const {
+template <class D>
+bool BasicCompiledPatchModel<D>::stream_band_needed(const StreamState& state,
+                                                    std::size_t pi,
+                                                    std::size_t j) const {
   const PipelinedTailLayer& pl = pipeline_[pi];
   for (const int r : pl.grid_row_deps[j]) {
     if (state.row_changed[static_cast<std::size_t>(r)].load(
@@ -1629,9 +1229,10 @@ bool CompiledPatchQuantModel::stream_band_needed(const StreamState& state,
   return false;
 }
 
-void CompiledPatchQuantModel::stream_mark_branch(StreamState& state,
-                                                 std::int64_t b,
-                                                 bool changed) const {
+template <class D>
+void BasicCompiledPatchModel<D>::stream_mark_branch(StreamState& state,
+                                                    std::int64_t b,
+                                                    bool changed) const {
   state.branches_run.fetch_add(1, std::memory_order_relaxed);
   if (!changed) return;
   state.row_changed[static_cast<std::size_t>(b / plan_.spec.grid_cols)].store(
@@ -1639,38 +1240,31 @@ void CompiledPatchQuantModel::stream_mark_branch(StreamState& state,
   state.any_changed.store(1, std::memory_order_relaxed);
 }
 
-void CompiledPatchQuantModel::stream_mark_band(StreamState& state,
-                                               std::size_t pi,
-                                               std::size_t j) const {
+template <class D>
+void BasicCompiledPatchModel<D>::stream_mark_band(StreamState& state,
+                                                  std::size_t pi,
+                                                  std::size_t j) const {
   state.bands_run.fetch_add(1, std::memory_order_relaxed);
   state
       .band_changed[static_cast<std::size_t>(state.band_offset[pi]) + j]
       .store(1, std::memory_order_relaxed);
 }
 
-void CompiledPatchQuantModel::invoke_stats_hook() const {
-  if (!stats_hook_) return;
-  const int split = plan_.spec.split_layer;
-  for (int id = split; id < graph_->size(); ++id) {
-    stats_hook_(id, tail_memo_[static_cast<std::size_t>(id)]);
-  }
-}
-
-nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
-                                                   nn::WorkerPool* pool,
-                                                   StreamState& state) const {
+template <class D>
+typename D::Tensor BasicCompiledPatchModel<D>::run_streaming(
+    const nn::Tensor& input, nn::WorkerPool* pool, StreamState& state) const {
   const nn::Graph& g = *graph_;
   const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
+  QMCU_REQUIRE(input.shape() == g.shape(g.inputs().front()),
                "input shape does not match graph input");
   const int w = pool == nullptr ? 1 : pool->num_workers();
   prime_stream_state(state, w);
   const nn::ParallelArenaPlan& pplan = streaming_plan(w);
   const std::span<std::uint8_t> arena =
       bind_stream_arena(pplan.total_bytes(), state);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
+  nn::check_arena(arena, pplan.total_bytes(), alignof(Elem));
 
+  // First frame: nothing retained yet, every branch runs.
   if (!state.primed) {
     std::fill(state.branch_dirty.begin(), state.branch_dirty.end(),
               std::uint8_t{1});
@@ -1678,21 +1272,10 @@ nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
   reset_stream_frame(state, plan_.spec.grid_rows, total_band_count(pipeline_),
                      !state.primed);
 
-  // The full frame is requantized every time (cheap, and dirty branches
-  // crop it); a byte-identical float crop quantizes to byte-identical
-  // int8, so clean branches stay clean through this write.
-  std::int64_t shared_measured = 0;
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  std::uint8_t* const shared_base = run_data_ + pplan.shared_offset();
-  run_qinput_ = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, run_qinput_);
-  bind_tail(shared_base, pplan.shared.slots, 0, par_assembled_slot_,
-            shared_measured);
+  // An int8 frame is requantized in full every time (cheap, and dirty
+  // branches crop it); a byte-identical float crop quantizes to
+  // byte-identical int8, so clean branches stay clean through this write.
+  const std::int64_t shared_measured = bind_shared(input, arena, pplan);
   run_stream_ = &state;
 
   if (w == 1) {
@@ -1704,7 +1287,7 @@ nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
     for (std::size_t b = 0; b < plan_.branches.size(); ++b) {
       if (!state.branch_dirty[b]) continue;
       bool changed = false;
-      exec_branch(static_cast<int>(b), run_qinput_, slice_base,
+      exec_branch(static_cast<int>(b), *run_input_, slice_base,
                   pplan.slice.slots, backend_, crops_, step_views_,
                   slice_measured, tail_memo_[static_cast<std::size_t>(split)],
                   &changed);
@@ -1723,8 +1306,7 @@ nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
         // sequential tail does (bit-identical; the bands exist for
         // multi-worker pipelining, not for single-lane execution).
         const int id = pipeline_[pi].layer_id;
-        nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                             tail_memo_[static_cast<std::size_t>(id)]);
+        run_layers(id, id + 1, backend_);
         for (std::size_t j = 0; j < nb; ++j) stream_mark_band(state, pi, j);
         continue;
       }
@@ -1736,154 +1318,23 @@ nn::QTensor CompiledPatchQuantModel::run_streaming(const nn::Tensor& input,
       }
     }
     if (state.frame_changed_output()) {
-      const int first_rest = split + 1 + static_cast<int>(pipeline_.size());
-      for (int id = first_rest; id < g.size(); ++id) {
-        nn::run_layer_q_into(g, id, tail_memo_, *params_, backend_,
-                             tail_memo_[static_cast<std::size_t>(id)]);
-      }
+      run_layers(split + 1 + static_cast<int>(pipeline_.size()), g.size(),
+                 backend_);
     }
     measured_ = std::max(pplan.shared_offset() + shared_measured,
                          pplan.slice_offset(0) + slice_measured);
   } else {
-    for (int lane = 0; lane < w; ++lane) {
-      WorkerCtx& ctx = worker_ctx(lane);
-      ctx.backend.rebind_thread();
-      ctx.crops.rebind_thread();
-      ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-      ctx.measured = 0;
-    }
+    prepare_lanes(w);
     pool->run_graph(pipeline_graph(w));
-    measured_ = pplan.shared_offset() + shared_measured;
-    for (int lane = 0; lane < w; ++lane) {
-      measured_ = std::max(
-          measured_, pplan.slice_offset(lane) +
-                         workers_[static_cast<std::size_t>(lane)]->measured);
-    }
+    record_high_water(pplan, shared_measured);
   }
   run_stream_ = nullptr;
   state.primed = true;
-  invoke_stats_hook();
+  report_stats(dom_, split, tail_memo_);
   return tail_memo_[static_cast<std::size_t>(g.output())];
 }
 
-nn::QTensor CompiledPatchQuantModel::run(const nn::Tensor& input,
-                                         nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = pipelined_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
-  std::int64_t shared_measured = 0;
-
-  // Stage this run's state for the cached graph's tasks. The quantized
-  // input is written once here, before dispatch, and only read by the
-  // branches; the assembled map and all tail views are bound up front too
-  // (dispatch publishes everything to every lane).
-  run_data_ = arena.data();
-  run_pplan_ = &pplan;
-  std::uint8_t* const shared_base = run_data_ + pplan.shared_offset();
-  run_qinput_ = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, run_qinput_);
-  bind_tail(shared_base, pplan.shared.slots, 0, par_assembled_slot_,
-            shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  pool->run_graph(pipeline_graph(w));
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  invoke_stats_hook();
-  return tail_memo_[static_cast<std::size_t>(g.output())];
-}
-
-nn::QTensor CompiledPatchQuantModel::run_barrier(const nn::Tensor& input,
-                                                 nn::WorkerPool* pool) const {
-  if (pool == nullptr || pool->num_workers() == 1) return run(input);
-  const nn::Graph& g = *graph_;
-  const int split = plan_.spec.split_layer;
-  const int input_layer = g.inputs().front();
-  QMCU_REQUIRE(input.shape() == g.shape(input_layer),
-               "input shape does not match graph input");
-  const int w = pool->num_workers();
-  const nn::ParallelArenaPlan& pplan = parallel_plan(w);
-  nn::ArenaSlab::Lease lease;
-  const std::span<std::uint8_t> arena =
-      bind_run_arena(pplan.total_bytes(), lease);
-  nn::check_arena(arena, pplan.total_bytes(), 1);
-  backend_.rebind_thread();
-  crops_.rebind_thread();
-  std::uint8_t* const shared_base = arena.data() + pplan.shared_offset();
-  std::int64_t shared_measured = 0;
-
-  // The quantized input is written once here, before dispatch, and only
-  // read by the branches (the dispatch barrier publishes it).
-  nn::QTensor qinput = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_input_slot_)],
-      g.shape(input_layer), cfg_.params[static_cast<std::size_t>(input_layer)],
-      shared_measured);
-  nn::quantize_into(input, qinput);
-  nn::QTensor assembled = bind_q_slot(
-      shared_base,
-      pplan.shared.slots[static_cast<std::size_t>(par_assembled_slot_)],
-      g.shape(split), effective_[static_cast<std::size_t>(split)],
-      shared_measured);
-
-  for (int lane = 0; lane < w; ++lane) {
-    WorkerCtx& ctx = worker_ctx(lane);
-    ctx.backend.rebind_thread();
-    ctx.crops.rebind_thread();
-    ctx.step_views.resize(static_cast<std::size_t>(num_steps_));
-    ctx.measured = 0;
-  }
-
-  const auto chunks = weighted_chunks(
-      branch_costs_, plan_.spec.grid_rows * chunks_per_grid_row(plan_, w));
-  pool->parallel_ranges(
-      chunks, [&](std::int64_t b0, std::int64_t b1, int lane) {
-        WorkerCtx& ctx = *workers_[static_cast<std::size_t>(lane)];
-        std::uint8_t* base = arena.data() + pplan.slice_offset(lane);
-        for (std::int64_t b = b0; b < b1; ++b) {
-          exec_branch(static_cast<int>(b), qinput, base, pplan.slice.slots,
-                      ctx.backend, ctx.crops, ctx.step_views, ctx.measured,
-                      assembled);
-          if (branch_hook_) branch_hook_(static_cast<int>(b));
-        }
-      });
-
-  measured_ = pplan.shared_offset() + shared_measured;
-  for (int lane = 0; lane < w; ++lane) {
-    measured_ = std::max(
-        measured_, pplan.slice_offset(lane) +
-                       workers_[static_cast<std::size_t>(lane)]->measured);
-  }
-  std::int64_t tail_measured = 0;
-  nn::QTensor out = exec_tail(shared_base, pplan.shared.slots, 0,
-                              par_assembled_slot_, tail_measured);
-  measured_ = std::max(measured_, pplan.shared_offset() + tail_measured);
-  invoke_stats_hook();
-  return out;
-}
+template class BasicCompiledPatchModel<FloatPatchDomain>;
+template class BasicCompiledPatchModel<QuantPatchDomain>;
 
 }  // namespace qmcu::patch

@@ -1,8 +1,26 @@
 // compiled_patch_model.h — compile-once / run-many patch-based inference
 // against one static tensor arena, sequentially or across a worker pool.
 //
-// The patch executors walk every dataflow branch allocating a fresh region
-// tensor per step per run. A compiled patch model plans, once:
+// One runtime, two numeric domains. BasicCompiledPatchModel<Domain> holds
+// the whole patch dataflow — per-patch branches, the merge into the cut
+// layer, the layer-based tail — together with its arena planning, its
+// schedules and its streaming mode. The domain policy supplies only what
+// differs between float and integer execution:
+//
+//   * FloatPatchDomain (alias CompiledPatchModel): float views, branches
+//     crop the caller's frame directly, float kernels on the graph's
+//     weights. Used for calibration and VDQS entropy profiling.
+//   * QuantPatchDomain (alias CompiledPatchQuantModel): int8 / sub-byte
+//     views carrying QuantParams, the frame quantized once into its own
+//     shared slot, integer kernels on converted weights with per-branch
+//     step params and rescaled biases in mixed mode, per-lane panel
+//     prepacking and the plan-artifact bundle. The deployed runtime.
+//
+// The per-op kernel calls are overloads on the domain (or its tensor type)
+// resolved at compile time; the template is explicitly instantiated for
+// both domains in compiled_patch_model.cpp.
+//
+// A compiled patch model plans, once:
 //
 //   * one arena slot per branch *step index*, sized to the largest region
 //     any branch computes at that step (branches share the slot layout —
@@ -11,8 +29,8 @@
 //   * one slot for the reassembled cut-layer feature map, live from the
 //     first branch through its last tail consumer;
 //   * one slot per tail layer, placed over layer-based lifetimes;
-//   * (quantized) one slot for the quantized full input, live across the
-//     whole branch phase.
+//   * (int8) one slot for the quantized full input, live across the whole
+//     branch phase.
 //
 // Sequential run(): all slots come from one nn::ArenaPlanner pass over a
 // unified timeline (branch steps first, tail steps after), so branch
@@ -24,7 +42,7 @@
 // interaction is the final merge into *disjoint* tiles of the assembled
 // map — so they become independent tasks (cost-weighted: cheap border
 // branches coalesce into one task, see patch::weighted_chunks). The tail
-// no longer waits for the full branch barrier: each early tail layer is
+// does not wait for the full branch barrier: each early tail layer is
 // split into row-band tasks whose input-row intervals come from
 // patch::receptive_field, and a band depends only on the branch tasks (and
 // upstream bands) that produce those rows — so the tail starts on spare
@@ -47,7 +65,8 @@
 // path for every worker count and every readiness order (the kernels see
 // the same values; only which thread runs them, and when, changes); a
 // null/1-worker pool takes the sequential code path exactly, and
-// run_barrier keeps the PR-3 two-phase runtime for comparison.
+// run_barrier keeps the two-phase runtime (all branches, then the tail)
+// for comparison.
 //
 // Halo crop temporaries are scratch (a grow-only pool reused across steps),
 // not feature maps, and are accounted via scratch_bytes().
@@ -97,8 +116,8 @@ struct PipelinedTailLayer {
 // maximal run of tail layers after the cut that are row-splittable
 // (windowed, pooling, element-wise or concat ops), each split into
 // `bands_per_layer` row bands (clamped to the layer's height), with
-// dependencies resolved through patch::receptive_field. Shared by the
-// float and quantized compiled models.
+// dependencies resolved through patch::receptive_field. Also baked into
+// patch plan artifacts.
 std::vector<PipelinedTailLayer> build_pipelined_tail(
     const nn::Graph& g, const PatchPlan& plan, int bands_per_layer);
 
@@ -190,26 +209,91 @@ struct StreamState {
   std::atomic<std::int64_t> bands_run{0};
 };
 
-// --- float -----------------------------------------------------------------
+// --- domain policies -------------------------------------------------------
 
-class CompiledPatchModel {
+// Float domain: views carry no parameters, branches crop the caller's frame
+// directly, and every op runs the float kernels on the graph's weights.
+struct FloatPatchDomain {
+  using Tensor = nn::Tensor;
+  using Elem = float;
+  static constexpr bool kQuantized = false;
+};
+
+// Int8 / sub-byte domain: the compile-time tables every integer op reads.
+// Uniform mode: branch steps inherit the per-layer params of `cfg`; mixed
+// mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s and
+// `branch_bias` holds the matching rescaled biases.
+struct QuantPatchDomain {
+  using Tensor = nn::QTensor;
+  using Elem = std::int8_t;
+  static constexpr bool kQuantized = true;
+
+  QuantPatchDomain(const nn::Graph& g, const PatchPlan& plan,
+                   nn::ActivationQuantConfig cfg,
+                   std::vector<BranchQuantConfig> branch_cfgs,
+                   std::shared_ptr<const nn::QuantizedParameters> params,
+                   PrecompiledPatchParts& parts);
+
+  nn::ActivationQuantConfig cfg;
+  std::vector<nn::QuantParams> effective;
+  std::vector<BranchQuantConfig> branch_cfgs;  // empty = uniform mode
+  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias;
+  std::shared_ptr<const nn::QuantizedParameters> params;
+  // Artifact bundle adopted by the model backend and every worker lane
+  // (keeps the panel/offset views registered with the backends alive).
+  std::shared_ptr<const nn::PrecompiledBundle> bundle;
+  // AvgPool reciprocal tables keyed by window size. Filled at construction
+  // for every window the graph contains, then read-only — several workers
+  // share them concurrently during parallel runs, so no lazy inserts on the
+  // run path.
+  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables;
+  mutable std::function<void(int, const nn::QTensor&)> stats_hook;
+};
+
+// --- the patch runtime -----------------------------------------------------
+
+template <class Domain>
+class BasicCompiledPatchModel {
+  using Tensor = typename Domain::Tensor;
+  using Elem = typename Domain::Elem;
+
  public:
-  CompiledPatchModel(const nn::Graph& g, PatchPlan plan,
-                     nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
+  // Float model.
+  BasicCompiledPatchModel(const nn::Graph& g, PatchPlan plan,
+                          nn::ops::KernelTier tier = nn::ops::KernelTier::Simd)
+    requires(!Domain::kQuantized);
+  // Int8 model (see QuantPatchDomain for uniform vs mixed mode). Prebuilt
+  // shared parameters (QuantizedParameters::build_shared) skip the
+  // per-model weight conversion.
+  BasicCompiledPatchModel(
+      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+      std::vector<BranchQuantConfig> branch_cfgs = {},
+      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd,
+      std::shared_ptr<const nn::QuantizedParameters> params = {})
+    requires(Domain::kQuantized);
+  // Artifact path: precomputed branch biases / pipeline structure / kernel
+  // bundle skip the corresponding construction-time work (the bundle's
+  // panels are adopted by the model backend and every worker lane).
+  BasicCompiledPatchModel(
+      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
+      std::vector<BranchQuantConfig> branch_cfgs,
+      std::shared_ptr<const nn::QuantizedParameters> params,
+      PrecompiledPatchParts parts,
+      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd)
+    requires(Domain::kQuantized);
 
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input) const;
+  [[nodiscard]] Tensor run(const nn::Tensor& input) const;
   // Pipelined dataflow run: stage-1 branch tasks and tail row-band tasks
   // scheduled as one dependency graph over `pool` (see the header
   // comment). Bit-identical to run() for every worker count and readiness
   // order. A null pool or a 1-worker pool takes the sequential path
   // exactly.
-  [[nodiscard]] nn::Tensor run(const nn::Tensor& input,
-                               nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime: branch barrier, then the whole tail on the
+  [[nodiscard]] Tensor run(const nn::Tensor& input, nn::WorkerPool* pool) const;
+  // The two-phase runtime: branch barrier, then the whole tail on the
   // calling thread. Kept as the pipelined path's comparison baseline (and
   // BM_ParallelPatchRun's subject). Bit-identical to run().
-  [[nodiscard]] nn::Tensor run_barrier(const nn::Tensor& input,
-                                       nn::WorkerPool* pool) const;
+  [[nodiscard]] Tensor run_barrier(const nn::Tensor& input,
+                                   nn::WorkerPool* pool) const;
   // Temporal-reuse run over `state` (see StreamState): only branches with
   // state.branch_dirty set are recomputed — clean branches contribute
   // their retained assembled-map tiles for free — and tail row-bands whose
@@ -218,9 +302,12 @@ class CompiledPatchModel {
   // to run() on the same frame for every worker count, provided the dirty
   // mask is conservative (patch::dirty_branches exact mode). A null pool
   // or 1-worker pool streams sequentially over the same retained layout.
-  [[nodiscard]] nn::Tensor run_streaming(const nn::Tensor& input,
-                                         nn::WorkerPool* pool,
-                                         StreamState& state) const;
+  // The dirty mask is computed on the float frames: quantization is
+  // deterministic per element, so a byte-identical float crop quantizes to
+  // a byte-identical branch input.
+  [[nodiscard]] Tensor run_streaming(const nn::Tensor& input,
+                                     nn::WorkerPool* pool,
+                                     StreamState& state) const;
 
   [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
   [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
@@ -257,6 +344,15 @@ class CompiledPatchModel {
   void set_branch_completion_hook(std::function<void(int)> hook) const {
     branch_hook_ = std::move(hook);
   }
+  // Opt-in activation statistics: called once per completed run on the
+  // calling thread, for the assembled cut layer and every tail layer, with
+  // the layer's output view (drift tracking — see
+  // nn::streaming::ActivationStatsTracker). Null clears it.
+  void set_stats_hook(std::function<void(int, const nn::QTensor&)> hook) const
+    requires(Domain::kQuantized)
+  {
+    dom_.stats_hook = std::move(hook);
+  }
   [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
   // Crop-temporary + backend scratch held after the last run, including
   // every worker context's share.
@@ -267,6 +363,42 @@ class CompiledPatchModel {
   // scratch arena + weight-panel cache exists per executor.
   [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
 
+  // Int8 compile-time tables, exposed so the owning executor's legacy
+  // paths reuse them instead of rebuilding their own copies.
+  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
+  shared_parameters() const
+    requires(Domain::kQuantized)
+  {
+    return dom_.params;
+  }
+  [[nodiscard]] const nn::ActivationQuantConfig& config() const
+    requires(Domain::kQuantized)
+  {
+    return dom_.cfg;
+  }
+  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const
+    requires(Domain::kQuantized)
+  {
+    return dom_.effective;
+  }
+  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const
+    requires(Domain::kQuantized)
+  {
+    return dom_.branch_cfgs;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
+  branch_bias() const
+    requires(Domain::kQuantized)
+  {
+    return dom_.branch_bias;
+  }
+  // Params resolution for branch step `step` of branch `branch`: the
+  // mixed-mode per-step override when branch configs exist, otherwise the
+  // pool-propagated effective params of the step's layer. Shared with the
+  // owning executor's legacy path so both resolve identically.
+  [[nodiscard]] const nn::QuantParams& step_params(int branch, int step) const
+    requires(Domain::kQuantized);
+
  private:
   // One worker lane's private execution state. The backend (scratch +
   // panel cache) and crop arena are thread-affine; dispatch rebinds them to
@@ -275,30 +407,41 @@ class CompiledPatchModel {
     explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
     nn::ops::KernelBackend backend;
     nn::ops::ScratchArena crops;
-    std::vector<nn::Tensor> step_views;
+    std::vector<Tensor> step_views;
     std::int64_t measured = 0;  // furthest byte written inside the slice
   };
 
+  // Timeline + arena planning and the pipelined dataflow structure, shared
+  // by every constructor (`pipeline` empty = derive it from the graph).
+  void plan_layout(std::vector<PipelinedTailLayer> pipeline);
+  // The tensor every branch's Input step crops: the caller's frame, or
+  // (int8) its quantized copy bound onto slots[input_slot] at `base`.
+  const Tensor& stage_input(const nn::Tensor& input, std::uint8_t* base,
+                            std::span<const nn::ArenaSlot> slots,
+                            int input_slot, std::int64_t& measured) const;
+  // Stages a parallel or streaming run for the worker tasks: arena base,
+  // plan, staged input, and every shared view (assembled map and all tail
+  // layers) bound before dispatch — tasks only read and write through
+  // them. Returns the shared region's high-water.
+  std::int64_t bind_shared(const nn::Tensor& input,
+                           std::span<std::uint8_t> arena,
+                           const nn::ParallelArenaPlan& pplan) const;
   // Runs one branch's steps against the slot layout `slots` (indices equal
   // step indices) at `base`, then merges the final tile into `assembled`.
   // With `merge_changed` set the merge compares before writing and reports
   // whether any assembled byte changed (streaming change propagation).
-  void exec_branch(const PatchBranch& branch, const nn::Tensor& input,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
+  void exec_branch(int branch_index, const Tensor& input, std::uint8_t* base,
+                   std::span<const nn::ArenaSlot> slots,
                    nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::Tensor> step_views, std::int64_t& measured,
-                   nn::Tensor& assembled,
+                   nn::ops::ScratchArena& crops, std::span<Tensor> step_views,
+                   std::int64_t& measured, Tensor& assembled,
                    bool* merge_changed = nullptr) const;
   // Binds the assembled map + every tail layer's view into tail_memo_.
   void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
                  int first_tail_slot, int assembled_slot,
                  std::int64_t& measured) const;
-  // Layer-based tail against slots [first_tail_slot ..) of `slots`.
-  nn::Tensor exec_tail(std::uint8_t* base,
-                       std::span<const nn::ArenaSlot> slots,
-                       int first_tail_slot, int assembled_slot,
-                       std::int64_t& measured) const;
+  // Runs tail layers [first, last) whole against the bound tail views.
+  void run_layers(int first, int last, nn::ops::KernelBackend& backend) const;
   // Computes output rows `rows` of banded tail layer `layer_id` from the
   // pre-bound tail views on the given backend/crops (a row-band task body;
   // sequential streaming drives it on the model's own context).
@@ -306,6 +449,11 @@ class CompiledPatchModel {
                       nn::ops::KernelBackend& backend,
                       nn::ops::ScratchArena& crops) const;
   WorkerCtx& worker_ctx(int lane) const;
+  // Hands lanes [0, w) to this run (thread rebind, step views, high-water
+  // reset); after the run, folds their slice high-waters into measured_.
+  void prepare_lanes(int w) const;
+  void record_high_water(const nn::ParallelArenaPlan& pplan,
+                         std::int64_t shared_measured) const;
   std::span<std::uint8_t> bind_run_arena(std::int64_t need,
                                          nn::ArenaSlab::Lease& lease) const;
   // Streaming internals: size `state` for this plan and pin its worker
@@ -328,14 +476,15 @@ class CompiledPatchModel {
 
   const nn::Graph* graph_;
   PatchPlan plan_;
+  Domain dom_;
   int num_steps_ = 0;       // steps per branch (identical across branches)
   int assembled_slot_ = 0;  // request index of the reassembled cut layer
+  int input_slot_ = -1;     // request index of the staged input (int8)
   nn::ArenaPlan aplan_;
   // Request lists feeding parallel_plan(): branch-step slots (per-worker
-  // slice) and tail + assembled slots (shared region).
+  // slice) and tail + assembled (+ staged input) slots (shared region).
   std::vector<nn::ArenaRequest> slice_requests_;
   std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;  // index into the shared request list
   // Pipelined dataflow structure: banded tail prefix, branch pricing for
   // cost-weighted task chunking, and the timeline step of the last banded
   // layer (the lifetime-widening horizon of plan_pipelined).
@@ -350,7 +499,8 @@ class CompiledPatchModel {
   // before dispatch (the dispatch barrier publishes it to every lane).
   // run_stream_ is non-null only while a streaming frame is in flight —
   // the cached graph serves both modes and checks it per task.
-  mutable const nn::Tensor* run_input_ = nullptr;
+  mutable Tensor run_staged_;  // (int8) the quantized input's bound view
+  mutable const Tensor* run_input_ = nullptr;
   mutable std::uint8_t* run_data_ = nullptr;
   mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
   mutable StreamState* run_stream_ = nullptr;
@@ -360,204 +510,15 @@ class CompiledPatchModel {
   mutable nn::ops::ScratchArena crops_;  // halo crop temporaries
   mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
   mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::Tensor> step_views_;  // per step, rebound per branch
-  mutable std::vector<nn::Tensor> tail_memo_;   // per layer id (tail phase)
+  mutable std::vector<Tensor> step_views_;  // per step, rebound per branch
+  mutable std::vector<Tensor> tail_memo_;   // per layer id (tail phase)
   mutable std::int64_t measured_ = 0;
 };
 
-// --- quantized -------------------------------------------------------------
+extern template class BasicCompiledPatchModel<FloatPatchDomain>;
+extern template class BasicCompiledPatchModel<QuantPatchDomain>;
 
-class CompiledPatchQuantModel {
- public:
-  // Uniform mode: branch steps inherit the per-layer params of `cfg`;
-  // mixed mode: `branch_cfgs[b].per_step[s]` overrides branch b's step s.
-  // Prebuilt shared parameters (QuantizedParameters::build_shared) skip the
-  // per-model weight conversion.
-  CompiledPatchQuantModel(
-      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-      std::vector<BranchQuantConfig> branch_cfgs = {},
-      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd,
-      std::shared_ptr<const nn::QuantizedParameters> params = {});
-  // Artifact path: precomputed branch biases / pipeline structure / kernel
-  // bundle skip the corresponding construction-time work (the bundle's
-  // panels are adopted by the model backend and every worker lane).
-  CompiledPatchQuantModel(
-      const nn::Graph& g, PatchPlan plan, nn::ActivationQuantConfig cfg,
-      std::vector<BranchQuantConfig> branch_cfgs,
-      std::shared_ptr<const nn::QuantizedParameters> params,
-      PrecompiledPatchParts parts,
-      nn::ops::KernelTier tier = nn::ops::KernelTier::Simd);
-
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input) const;
-  // Pipelined dataflow run (see CompiledPatchModel::run(input, pool)).
-  [[nodiscard]] nn::QTensor run(const nn::Tensor& input,
-                                nn::WorkerPool* pool) const;
-  // The PR-3 two-phase runtime, kept as the comparison baseline.
-  [[nodiscard]] nn::QTensor run_barrier(const nn::Tensor& input,
-                                        nn::WorkerPool* pool) const;
-  // Temporal-reuse run (see CompiledPatchModel::run_streaming). The dirty
-  // mask is computed on the float frames: quantization is deterministic
-  // per element, so a byte-identical float crop quantizes to a
-  // byte-identical branch input.
-  [[nodiscard]] nn::QTensor run_streaming(const nn::Tensor& input,
-                                          nn::WorkerPool* pool,
-                                          StreamState& state) const;
-
-  [[nodiscard]] const nn::ArenaPlan& arena_plan() const { return aplan_; }
-  [[nodiscard]] std::int64_t arena_bytes() const { return aplan_.peak_bytes; }
-  [[nodiscard]] const nn::ParallelArenaPlan& parallel_plan(
-      int num_workers) const;
-  [[nodiscard]] const nn::ParallelArenaPlan& pipelined_plan(
-      int num_workers) const;
-  // Retained streaming layout (see CompiledPatchModel::streaming_plan).
-  [[nodiscard]] const nn::ParallelArenaPlan& streaming_plan(
-      int num_workers) const;
-  [[nodiscard]] std::span<const PipelinedTailLayer> pipelined_tail() const {
-    return pipeline_;
-  }
-  // Cached pipelined graph skeletons, one per worker count seen (see
-  // CompiledPatchModel::cached_pipeline_graphs).
-  [[nodiscard]] std::size_t cached_pipeline_graphs() const {
-    return pipeline_graphs_.size();
-  }
-  void set_arena_source(std::shared_ptr<nn::ArenaSlab> slab) {
-    arena_source_ = std::move(slab);
-  }
-  // Test-only readiness-order hook (see CompiledPatchModel).
-  void set_branch_completion_hook(std::function<void(int)> hook) const {
-    branch_hook_ = std::move(hook);
-  }
-  // Opt-in activation statistics: called once per completed run on the
-  // calling thread, for the assembled cut layer and every tail layer, with
-  // the layer's output view (drift tracking — see
-  // nn::streaming::ActivationStatsTracker). Null clears it.
-  void set_stats_hook(
-      std::function<void(int, const nn::QTensor&)> hook) const {
-    stats_hook_ = std::move(hook);
-  }
-  [[nodiscard]] std::int64_t measured_high_water() const { return measured_; }
-  [[nodiscard]] std::int64_t scratch_bytes() const;
-  [[nodiscard]] const PatchPlan& plan() const { return plan_; }
-  [[nodiscard]] const nn::Graph& graph() const { return *graph_; }
-  [[nodiscard]] const std::shared_ptr<const nn::QuantizedParameters>&
-  shared_parameters() const {
-    return params_;
-  }
-  // Compile-time tables, exposed so the owning executor's legacy paths
-  // reuse them instead of rebuilding their own copies.
-  [[nodiscard]] const nn::ActivationQuantConfig& config() const {
-    return cfg_;
-  }
-  [[nodiscard]] std::span<const nn::QuantParams> effective_params() const {
-    return effective_;
-  }
-  [[nodiscard]] std::span<const BranchQuantConfig> branch_configs() const {
-    return branch_cfgs_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::vector<std::int32_t>>>&
-  branch_bias() const {
-    return branch_bias_;
-  }
-  [[nodiscard]] nn::ops::KernelBackend& backend() const { return backend_; }
-  // Params resolution for branch step `step` of branch `branch`: the
-  // mixed-mode per-step override when branch configs exist, otherwise the
-  // pool-propagated effective params of the step's layer. Shared with the
-  // owning executor's legacy path so both resolve identically.
-  [[nodiscard]] const nn::QuantParams& step_params(int branch,
-                                                   int step) const;
-
- private:
-  struct WorkerCtx {
-    explicit WorkerCtx(nn::ops::KernelTier tier) : backend(tier) {}
-    nn::ops::KernelBackend backend;
-    nn::ops::ScratchArena crops;
-    std::vector<nn::QTensor> step_views;
-    std::int64_t measured = 0;
-  };
-
-  void exec_branch(int branch_index, const nn::QTensor& qinput,
-                   std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                   nn::ops::KernelBackend& backend,
-                   nn::ops::ScratchArena& crops,
-                   std::span<nn::QTensor> step_views, std::int64_t& measured,
-                   nn::QTensor& assembled,
-                   bool* merge_changed = nullptr) const;
-  void bind_tail(std::uint8_t* base, std::span<const nn::ArenaSlot> slots,
-                 int first_tail_slot, int assembled_slot,
-                 std::int64_t& measured) const;
-  nn::QTensor exec_tail(std::uint8_t* base,
-                        std::span<const nn::ArenaSlot> slots,
-                        int first_tail_slot, int assembled_slot,
-                        std::int64_t& measured) const;
-  void exec_tail_band(int layer_id, const Interval& rows,
-                      nn::ops::KernelBackend& backend,
-                      nn::ops::ScratchArena& crops) const;
-  [[nodiscard]] const nn::ops::AvgPoolMultipliers* pool_table(
-      const nn::Layer& l) const;
-  WorkerCtx& worker_ctx(int lane) const;
-  std::span<std::uint8_t> bind_run_arena(std::int64_t need,
-                                         nn::ArenaSlab::Lease& lease) const;
-  // Streaming internals (see CompiledPatchModel).
-  void prime_stream_state(StreamState& state, int workers) const;
-  std::span<std::uint8_t> bind_stream_arena(std::int64_t need,
-                                            StreamState& state) const;
-  bool stream_band_needed(const StreamState& state, std::size_t pi,
-                          std::size_t j) const;
-  void stream_mark_branch(StreamState& state, std::int64_t b,
-                          bool changed) const;
-  void stream_mark_band(StreamState& state, std::size_t pi,
-                        std::size_t j) const;
-  void invoke_stats_hook() const;
-  // Cached dataflow graph per worker count (see CompiledPatchModel).
-  nn::TaskGraph& pipeline_graph(int num_workers) const;
-
-  const nn::Graph* graph_;
-  PatchPlan plan_;
-  nn::ActivationQuantConfig cfg_;
-  std::vector<nn::QuantParams> effective_;
-  std::vector<BranchQuantConfig> branch_cfgs_;  // empty = uniform mode
-  std::vector<std::vector<std::vector<std::int32_t>>> branch_bias_;
-  std::shared_ptr<const nn::QuantizedParameters> params_;
-  // Artifact bundle adopted by backend_ and every worker lane (keeps the
-  // panel/offset views registered with the backends alive).
-  std::shared_ptr<const nn::PrecompiledBundle> bundle_;
-  int num_steps_ = 0;
-  int assembled_slot_ = 0;
-  int input_slot_ = 0;  // quantized full input
-  nn::ArenaPlan aplan_;
-  std::vector<nn::ArenaRequest> slice_requests_;
-  std::vector<nn::ArenaRequest> shared_requests_;
-  int par_assembled_slot_ = 0;
-  int par_input_slot_ = 0;
-  std::vector<PipelinedTailLayer> pipeline_;
-  std::vector<std::int64_t> branch_costs_;
-  int pipeline_horizon_ = 0;
-  std::shared_ptr<nn::ArenaSlab> arena_source_;
-  mutable std::function<void(int)> branch_hook_;
-  mutable std::function<void(int, const nn::QTensor&)> stats_hook_;
-  // AvgPool reciprocal tables keyed by window size. Filled at construction
-  // for every window the graph contains, then read-only — several workers
-  // share them concurrently during parallel runs, so no lazy inserts on the
-  // run path (that was the shared-mutable-state hazard the thread-affinity
-  // audit flagged).
-  std::unordered_map<int, nn::ops::AvgPoolMultipliers> pool_tables_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> pipelined_pplans_;
-  mutable std::unordered_map<int, nn::ParallelArenaPlan> streaming_pplans_;
-  mutable std::unordered_map<int, nn::TaskGraph> pipeline_graphs_;
-  // Per-run state read by the cached pipelined graph's tasks (see
-  // CompiledPatchModel); the quantized input is a bound arena view.
-  mutable nn::QTensor run_qinput_;
-  mutable std::uint8_t* run_data_ = nullptr;
-  mutable const nn::ParallelArenaPlan* run_pplan_ = nullptr;
-  mutable StreamState* run_stream_ = nullptr;
-  mutable nn::ops::KernelBackend backend_;
-  mutable nn::ops::ScratchArena crops_;
-  mutable std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  mutable std::vector<std::uint8_t> arena_;
-  mutable std::vector<nn::QTensor> step_views_;
-  mutable std::vector<nn::QTensor> tail_memo_;
-  mutable std::int64_t measured_ = 0;
-};
+using CompiledPatchModel = BasicCompiledPatchModel<FloatPatchDomain>;
+using CompiledPatchQuantModel = BasicCompiledPatchModel<QuantPatchDomain>;
 
 }  // namespace qmcu::patch

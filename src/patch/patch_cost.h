@@ -5,7 +5,7 @@
 // over) plus a per-layer assignment for the layer-based tail after the cut.
 // Uniform 8-bit assignments price plain MCUNetV2-style patch inference.
 //
-// Memory model (matches DESIGN.md §6):
+// Memory model (matches README.md, Architecture notes, "Substitutions"):
 //  * the input image is resident throughout the patch phase as per-patch
 //    quantized tiles (disjoint tiling; halo margins are re-read from
 //    neighbouring tiles and requantized on the fly, costing no storage);

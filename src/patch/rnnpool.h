@@ -1,16 +1,15 @@
 // rnnpool.h — RNNPool-style stem replacement (Saha et al., NeurIPS 2020,
 // reference [10]).
 //
-// RNNPool replaces the memory-dominant early stage of a CNN with an
-// aggressive learned pooling operator that downsamples by 4x in one block,
-// so the network never materialises large intermediate maps and needs no
-// patching. The true operator sweeps tiny RNNs over each pooling window;
-// this reproduction substitutes a compute-matched separable-conv block
-// (documented in DESIGN.md §2): depthwise-stride-2 + pointwise pairs that
-// reach the same output geometry, with the block's width chosen so its MAC
-// count is within ~10% of the stage it replaces — preserving the paper's
-// Table I signature (peak just below layer-based, BitOPs slightly above,
-// no halo redundancy).
+// RNNPool replaces the memory-dominant early stage of a CNN with an aggressive
+// learned pooling operator that downsamples by 4x in one block, so the network
+// never materialises large intermediate maps and needs no patching. The true
+// operator sweeps tiny RNNs over each pooling window; this reproduction
+// substitutes a compute-matched separable-conv block (documented in README.md,
+// "Substitutions"): depthwise-stride-2 + pointwise pairs that reach the same
+// output geometry, with the block's width chosen so its MAC count is within
+// ~10% of the stage it replaces — preserving the paper's Table I signature
+// (peak just below layer-based, BitOPs slightly above, no halo redundancy).
 //
 // The returned graph's new stem layers carry no parameters yet; callers
 // should run models::init_parameters(graph, seed) (it skips layers that

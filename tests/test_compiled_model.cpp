@@ -4,6 +4,8 @@
 // arenas, and must share prebuilt QuantizedParameters across executors.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/quantmcu.h"
 #include "data/synthetic.h"
 #include "models/weights.h"
@@ -294,6 +296,35 @@ TEST(CompiledPatchQuantModel, SharedParametersAcrossPatchExecutors) {
   EXPECT_EQ(a.shared_parameters().get(), params.get());
   const nn::Tensor in = random_input(g.shape(0), 21);
   expect_q_identical(a.run(in), layer.run(in));
+}
+
+// Both patch models are one template; the int8-only members are
+// constrained to the int8 domain, so the float model does not have them.
+template <class M>
+concept HasQuantConfig = requires(const M& m) {
+  m.config();
+  m.effective_params();
+  m.branch_configs();
+  m.branch_bias();
+  m.shared_parameters();
+};
+template <class M>
+concept HasStepParams = requires(const M& m) { m.step_params(0, 0); };
+template <class M>
+concept HasStatsHook = requires(const M& m) { m.set_stats_hook({}); };
+
+TEST(CompiledPatchModel, Int8OnlyMembersExistOnlyInTheInt8Domain) {
+  static_assert(HasQuantConfig<patch::CompiledPatchQuantModel>);
+  static_assert(HasStepParams<patch::CompiledPatchQuantModel>);
+  static_assert(HasStatsHook<patch::CompiledPatchQuantModel>);
+  static_assert(!HasQuantConfig<patch::CompiledPatchModel>);
+  static_assert(!HasStepParams<patch::CompiledPatchModel>);
+  static_assert(!HasStatsHook<patch::CompiledPatchModel>);
+  static_assert(!std::is_constructible_v<patch::CompiledPatchModel,
+                                         const nn::Graph&, patch::PatchPlan,
+                                         nn::ActivationQuantConfig>);
+  static_assert(!std::is_constructible_v<patch::CompiledPatchQuantModel,
+                                         const nn::Graph&, patch::PatchPlan>);
 }
 
 }  // namespace

@@ -319,6 +319,36 @@ TEST(PlanArtifact, PatchMixedModeRoundTripBitExact) {
   expect_q_identical(loaded.model->run(in, &pool), ref.run(in));
 }
 
+// Branch step params that keep every layer's zero point but change its
+// scale: the offset row (bias − a_zp·Σw) baked for a conv then matches the
+// branch's activation zero point, yet the branch runs with its own rescaled
+// bias. The loaded model must not take the baked row for that branch.
+TEST(PlanArtifact, PatchMixedBranchBiasIsNotTakenFromBakedOffsetRow) {
+  const nn::Graph g = mbv2_net();
+  const auto ranges = quant::calibrate_ranges(
+      g, std::vector<nn::Tensor>{random_input(g.shape(0), 40)});
+  const auto cfg = quant::make_quant_config(g, ranges, nn::uniform_bits(g, 8));
+  const patch::PatchSpec spec = patch::plan_mcunetv2(g, {2, 2});
+  const patch::PatchPlan plan = patch::build_patch_plan(g, spec);
+  const std::vector<nn::QuantParams> eff = nn::effective_output_params(g, cfg);
+  std::vector<patch::BranchQuantConfig> branch_cfgs(plan.branches.size());
+  for (std::size_t b = 0; b < plan.branches.size(); ++b) {
+    for (const patch::BranchStep& step : plan.branches[b].steps) {
+      nn::QuantParams p = eff[static_cast<std::size_t>(step.layer_id)];
+      p.scale *= 1.0f + 0.25f * static_cast<float>(b + 1);
+      branch_cfgs[b].per_step.push_back(p);
+    }
+  }
+  const std::string path = artifact_path("patch_mixed_branch_bias");
+  patch::compile_to_artifact(g, spec, cfg, branch_cfgs, path);
+
+  const patch::LoadedPatchModel loaded = patch::load_compiled_patch(path);
+  const patch::LoadedPatchModel ref =
+      patch::load_compiled_patch(path, nn::ops::KernelTier::Reference);
+  const nn::Tensor in = random_input(g.shape(0), 41);
+  expect_q_identical(loaded.model->run(in), ref.model->run(in));
+}
+
 // --- serving fleet ---------------------------------------------------------
 
 bool q_equal(const nn::QTensor& a, const nn::QTensor& b) {
